@@ -296,6 +296,76 @@ func BenchmarkSchedLoopDecima(b *testing.B) {
 	benchSchedLoop(b, cfg, jobs, func() sim.Scheduler { return sched.NewDecima(7) })
 }
 
+// BenchmarkSchedLoopPCAPS is BenchmarkSchedLoopDecima under the paper's
+// scheduler: PCAPS samples Decima's distribution at every Pick.
+func BenchmarkSchedLoopPCAPS(b *testing.B) {
+	cfg := benchTrace(b)
+	jobs := schedBatch(60, 12, 3, 5, 40)
+	benchSchedLoop(b, cfg, jobs, func() sim.Scheduler {
+		return sched.NewPCAPS(sched.NewDecima(7), sched.DefaultPCAPSGamma, 7)
+	})
+}
+
+// pickFixture returns a snapshot of a cluster whose runnable view spans
+// n jobs: n+n/5 TPC-H jobs all arrive at time 0 on n/5 executors under
+// Decima, and the first scheduling pass that leaves n jobs runnable is
+// captured. The run is cut soon after by its event budget.
+func pickFixture(b *testing.B, n int) *sim.Snapshot {
+	b.Helper()
+	jobs := workload.Batch(workload.BatchConfig{N: n + n/5, Mix: workload.MixTPCH, Seed: 5})
+	for _, j := range jobs {
+		j.Arrival = 0
+	}
+	var snap *sim.Snapshot
+	cfg := benchTrace(b)
+	cfg.NumExecutors = max(2, n/5)
+	cfg.MaxEvents = 2 * len(jobs)
+	cfg.Observer = func(c *sim.Cluster) {
+		if snap != nil {
+			return
+		}
+		var last *sim.JobRun
+		jobsRunnable := 0
+		for _, r := range c.Runnable() {
+			if r.Job != last {
+				last = r.Job
+				jobsRunnable++
+			}
+		}
+		if jobsRunnable >= n {
+			snap = c.Snapshot()
+		}
+	}
+	sim.Run(cfg, jobs, sched.NewDecima(5)) // cut by MaxEvents once snap is taken
+	if snap == nil {
+		b.Fatalf("no scheduling pass left %d jobs runnable", n)
+	}
+	return snap
+}
+
+// BenchmarkDecimaPick times one steady-state Decima Pick (the L1 figure)
+// on a restored cluster with 10, 100 and 1000 runnable jobs. The cluster
+// does not change between Picks, so every memo on the run records hits:
+// this is the per-ref walk over the runnable view that remains.
+func BenchmarkDecimaPick(b *testing.B) {
+	for _, n := range []int{10, 100, 1000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			c, err := pickFixture(b, n).Restore()
+			if err != nil {
+				b.Fatal(err)
+			}
+			d := sched.NewDecima(1)
+			d.Pick(c)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Pick(c)
+			}
+			b.ReportMetric(float64(len(c.Runnable())), "refs")
+		})
+	}
+}
+
 // BenchmarkSchedLoopHoldOff / HoldOn compare the shared-pool and
 // executor-retention regimes on the same batch. The hold benchmarks use
 // a small cluster (K=8) and 48-task stages so held executors serve several

@@ -11,6 +11,7 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -254,6 +255,60 @@ func (j *Job) CriticalPathWorkDown() []float64 {
 		cp[s.ID] = s.Work() + best
 	}
 	return cp
+}
+
+// AppendCriticalPathWorkDown appends the CriticalPathWorkDown vector to
+// dst and returns the extended slice, allocating only when dst lacks the
+// capacity — so a caller that recycles dst across jobs computes it
+// without allocating. It recurses over children with memoization instead
+// of building a topological order; every value is the same stage work
+// plus the same exact maximum over children, so the result is
+// bit-identical to CriticalPathWorkDown. A cyclic job appends nothing.
+func (j *Job) AppendCriticalPathWorkDown(dst []float64) []float64 {
+	base, n := len(dst), len(j.Stages)
+	dst = slices.Grow(dst, n)[:base+n]
+	cp := dst[base:]
+	for i := range cp {
+		cp[i] = cpUnvisited
+	}
+	for i := range cp {
+		if !j.fillWorkDown(cp, i) {
+			return dst[:base]
+		}
+	}
+	return dst
+}
+
+// Markers for AppendCriticalPathWorkDown's recursion; finished entries
+// are non-negative.
+const (
+	cpUnvisited = -1
+	cpVisiting  = -2
+)
+
+// fillWorkDown sets cp[id] (and every descendant's entry) to its
+// downstream critical-path work, reporting false on a cycle.
+func (j *Job) fillWorkDown(cp []float64, id int) bool {
+	switch cp[id] {
+	case cpVisiting:
+		return false
+	case cpUnvisited:
+	default:
+		return true
+	}
+	cp[id] = cpVisiting
+	s := j.Stages[id]
+	var best float64
+	for _, c := range s.Children {
+		if !j.fillWorkDown(cp, c) {
+			return false
+		}
+		if cp[c] > best {
+			best = cp[c]
+		}
+	}
+	cp[id] = s.Work() + best
+	return true
 }
 
 // CriticalPathLength returns the length in seconds of the job's longest

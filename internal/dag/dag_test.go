@@ -2,6 +2,7 @@ package dag
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -253,6 +254,41 @@ func TestQuickCriticalPathBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQuickAppendCriticalPathWorkDownMatches checks the recycling form
+// against CriticalPathWorkDown bit for bit: appended after a prefix that
+// stays untouched, and without allocating when dst has the capacity.
+func TestQuickAppendCriticalPathWorkDownMatches(t *testing.T) {
+	f := func(seed int64) bool {
+		j := randomJob(rand.New(rand.NewSource(seed)))
+		want := j.CriticalPathWorkDown()
+		got := j.AppendCriticalPathWorkDown([]float64{-7})
+		if len(got) != 1+len(want) || got[0] != -7 {
+			return false
+		}
+		for i, w := range want {
+			if math.Float64bits(got[1+i]) != math.Float64bits(w) {
+				return false
+			}
+		}
+		buf := make([]float64, 0, len(want))
+		allocs := testing.AllocsPerRun(5, func() { buf = j.AppendCriticalPathWorkDown(buf[:0]) })
+		return allocs == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestAppendCriticalPathWorkDownCyclic(t *testing.T) {
+	j := &Job{Stages: []*Stage{
+		{ID: 0, NumTasks: 1, TaskDuration: 1, Children: []int{1}, Parents: []int{1}},
+		{ID: 1, NumTasks: 1, TaskDuration: 1, Children: []int{0}, Parents: []int{0}},
+	}}
+	if got := j.AppendCriticalPathWorkDown([]float64{3}); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("cyclic job appended %v, want the prefix alone", got)
 	}
 }
 

@@ -44,7 +44,6 @@ type Decima struct {
 	Seed int64
 
 	rng *rand.Rand
-	cp  cpCache
 	// Per-Pick scratch, reused across calls: the filtered runnable refs,
 	// each ref's job-remaining-work (parallel to refs), and the score /
 	// probability vectors. Distribution returns refs and probs directly,
@@ -68,14 +67,39 @@ func (d *Decima) Name() string { return "Decima" }
 // executor cap, so every sampled action is executable (the masked-softmax
 // semantics of Decima's action space).
 //
+// Each event changes one job, so most of the work is memoized on the
+// engine's run records (see DESIGN.md): a job's remaining work and
+// critical-path vector on its JobRun, each stage's softmax term on its
+// StageRun. Every memo returns the bits a fresh computation would.
+//
 //pcaps:hotpath
 func (d *Decima) Distribution(c *sim.Cluster) ([]sim.StageRef, []float64) {
-	all := c.Runnable()
+	// Filter to stages below their planned limit. The view is job-major,
+	// so the job's remaining work and grant cap are computed once per
+	// group boundary and the remaining work is recorded per ref
+	// (d.jobRemain parallels runnable). The normalizer maxRemain ranges
+	// over the jobs that keep at least one ref.
+	share := grantShare(c)
 	runnable := d.refs[:0]
-	for _, r := range all {
-		if r.Stage.Running < d.PlannedLimit(c, r) {
-			runnable = append(runnable, r)
+	d.jobRemain = d.jobRemain[:0]
+	maxRemain := 0.0
+	var lastJob *sim.JobRun
+	var remain float64
+	var jobCap int
+	for _, r := range c.Runnable() {
+		if r.Job != lastJob {
+			lastJob = r.Job
+			remain = r.Job.RemainingWork()
+			jobCap = workCap(share, remain)
 		}
+		if r.Stage.Running >= plannedLimit(r.Stage, jobCap) {
+			continue
+		}
+		if remain > maxRemain {
+			maxRemain = remain
+		}
+		runnable = append(runnable, r)
+		d.jobRemain = append(d.jobRemain, remain)
 	}
 	d.refs = runnable
 	if len(runnable) == 0 {
@@ -88,31 +112,19 @@ func (d *Decima) Distribution(c *sim.Cluster) ([]sim.StageRef, []float64) {
 	if temp <= 0 {
 		temp = 1
 	}
-	// Normalizers across the runnable set. The view is job-major, so
-	// per-job remaining work is computed once per group boundary and
-	// recorded per ref (d.jobRemain parallels runnable).
-	maxRemain := 0.0
-	d.jobRemain = d.jobRemain[:0]
-	var lastJob *sim.JobRun
-	var lastRemain float64
-	for _, r := range runnable {
-		if r.Job != lastJob {
-			lastJob = r.Job
-			lastRemain = r.Job.RemainingWork()
-			if lastRemain > maxRemain {
-				maxRemain = lastRemain
-			}
-		}
-		d.jobRemain = append(d.jobRemain, lastRemain)
-	}
 	if cap(d.scores) < len(runnable) {
 		//hot:alloc one-time scratch growth to the runnable high-water mark
 		d.scores = make([]float64, len(runnable))
 	}
 	scores := d.scores[:len(runnable)]
 	maxScore := math.Inf(-1)
+	lastJob = nil
+	var cp []float64
 	for i, r := range runnable {
-		cp := d.cp.get(r.Job)
+		if r.Job != lastJob {
+			lastJob = r.Job
+			cp = r.Job.CriticalPathWork()
+		}
 		jobRemain := d.jobRemain[i]
 		cpNorm := 0.0
 		if jobRemain > 0 {
@@ -138,7 +150,7 @@ func (d *Decima) Distribution(c *sim.Cluster) ([]sim.StageRef, []float64) {
 	probs := d.probs[:len(scores)]
 	var sum float64
 	for i, s := range scores {
-		probs[i] = math.Exp(s - maxScore)
+		probs[i] = runnable[i].Stage.MemoExp(s - maxScore)
 		sum += probs[i]
 	}
 	for i := range probs {
@@ -157,16 +169,23 @@ func (d *Decima) Distribution(c *sim.Cluster) ([]sim.StageRef, []float64) {
 // over-granting FIFO comes from (Table 3).
 const GrantDivisor = 40
 
-// workDerivedCap returns the per-job grant cap for a job with the given
-// remaining work, bounded by an even cluster split across active jobs.
+// grantShare returns the even split of the cluster across active jobs,
+// ⌈K/active⌉, that bounds every job's grant cap.
 //
 //pcaps:hotpath
-func workDerivedCap(c *sim.Cluster, remaining float64) int {
+func grantShare(c *sim.Cluster) int {
 	active := len(c.ActiveJobs())
 	if active < 1 {
 		active = 1
 	}
-	share := (c.K() + active - 1) / active
+	return (c.K() + active - 1) / active
+}
+
+// workCap returns the per-job grant cap for a job with the given
+// remaining work, bounded by the even split share.
+//
+//pcaps:hotpath
+func workCap(share int, remaining float64) int {
 	cap := int(math.Ceil(remaining / GrantDivisor))
 	if cap > share {
 		cap = share
@@ -177,6 +196,21 @@ func workDerivedCap(c *sim.Cluster, remaining float64) int {
 	return cap
 }
 
+// plannedLimit is PlannedLimit for a stage whose job's grant cap is
+// jobCap.
+//
+//pcaps:hotpath
+func plannedLimit(st *sim.StageRun, jobCap int) int {
+	limit := st.RemainingTasks() + st.Running
+	if limit > jobCap {
+		limit = jobCap
+	}
+	if limit < 1 {
+		limit = 1
+	}
+	return limit
+}
+
 // PlannedLimit implements Probabilistic: the stage may use up to its
 // remaining tasks, capped by the job's work-derived executor grant — the
 // executor-cap component of Decima's action space ([48] §5.2) that
@@ -184,14 +218,7 @@ func workDerivedCap(c *sim.Cluster, remaining float64) int {
 //
 //pcaps:hotpath
 func (d *Decima) PlannedLimit(c *sim.Cluster, ref sim.StageRef) int {
-	limit := ref.Stage.RemainingTasks() + ref.Stage.Running
-	if cap := workDerivedCap(c, ref.Job.RemainingWork()); limit > cap {
-		limit = cap
-	}
-	if limit < 1 {
-		limit = 1
-	}
-	return limit
+	return plannedLimit(ref.Stage, workCap(grantShare(c), ref.Job.RemainingWork()))
 }
 
 // Sample draws an index from the probability vector.
@@ -201,15 +228,7 @@ func (d *Decima) Sample(probs []float64) int {
 	if d.rng == nil {
 		d.rng = rand.New(rand.NewSource(d.Seed))
 	}
-	x := d.rng.Float64()
-	var cum float64
-	for i, p := range probs {
-		cum += p
-		if x < cum {
-			return i
-		}
-	}
-	return len(probs) - 1
+	return sampleIndex(d.rng, probs)
 }
 
 // Pick implements sim.Scheduler: sample a stage from the distribution and

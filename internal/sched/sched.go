@@ -76,7 +76,6 @@ type WeightedFair struct {
 	// Zero selects the tuned default of -0.5.
 	Exponent float64
 
-	cp cpCache
 	// infos is per-Pick scratch, reused across calls.
 	infos []wfJobInfo
 }
@@ -128,7 +127,7 @@ func (w *WeightedFair) Pick(c *sim.Cluster) sim.Decision {
 	// proceeds (work-conserving) on the most underserved job.
 	// Within the chosen job, pick the runnable stage with the heaviest
 	// downstream critical-path work.
-	cp := w.cp.get(best)
+	cp := best.CriticalPathWork()
 	var ref sim.StageRef
 	bestCP := math.Inf(-1)
 	for _, r := range runnable {
@@ -147,39 +146,11 @@ func (w *WeightedFair) Pick(c *sim.Cluster) sim.Decision {
 	// The same diminishing-returns grant cap the Decima-like scheduler
 	// uses: fair shares beyond a job's efficient parallelism only idle
 	// executors at stage barriers.
-	if cap := workDerivedCap(c, best.RemainingWork()); limit > cap {
+	if cap := workCap(grantShare(c), best.RemainingWork()); limit > cap {
 		limit = cap
 	}
 	if limit < 1 {
 		limit = 1
 	}
 	return sim.Decision{Ref: ref, Limit: limit}
-}
-
-// cpCache memoizes per-job critical-path-work vectors; the DAG never
-// changes after submission, so the vector is computed once per job. Each
-// scheduler instance owns its cache, keeping concurrent runs independent.
-// Entries carry the JobRun's generation: the streaming engine recycles
-// runtime records, so a remembered pointer may now host a different job
-// — a moved generation invalidates the entry (and keeps the cache
-// bounded by peak in-flight records rather than total jobs).
-type cpCache struct {
-	m map[*sim.JobRun]cpEntry
-}
-
-type cpEntry struct {
-	gen int
-	v   []float64
-}
-
-func (c *cpCache) get(j *sim.JobRun) []float64 {
-	if e, ok := c.m[j]; ok && e.gen == j.Generation() {
-		return e.v
-	}
-	if c.m == nil {
-		c.m = map[*sim.JobRun]cpEntry{}
-	}
-	v := j.Job.CriticalPathWorkDown()
-	c.m[j] = cpEntry{gen: j.Generation(), v: v}
-	return v
 }

@@ -141,6 +141,25 @@ type StageRun struct {
 	// ParentsLeft counts incomplete parent stages; the stage is
 	// runnable when it reaches 0.
 	ParentsLeft int
+
+	// expArg and expVal memoize MemoExp's last argument and result; a
+	// zero expVal marks the memo empty.
+	expArg, expVal float64
+}
+
+// MemoExp returns math.Exp(x), remembering the last argument and result
+// on the stage record. A scheduler that scores runnable stages with a
+// softmax passes the same argument on most calls, since the argument only
+// moves when this stage's score or the softmax's max-shift does; the
+// remembered result is then the one math.Exp returned for that exact
+// argument, so the answer is bit-identical either way.
+//
+//pcaps:hotpath
+func (s *StageRun) MemoExp(x float64) float64 {
+	if s.expVal == 0 || s.expArg != x {
+		s.expArg, s.expVal = x, math.Exp(x)
+	}
+	return s.expVal
 }
 
 // Runnable reports whether the stage can accept a new executor under its
@@ -183,11 +202,15 @@ type JobRun struct {
 	// contiguously and are reused across recycles. Nil in the classic
 	// engine, where stage records are allocated individually.
 	arena []StageRun
-	// gen distinguishes successive occupants of a recycled record:
-	// the pool increments it on every acquire, so pointer-keyed caches
-	// (sched's critical-path memo) can detect that a *JobRun they
-	// remember now runs a different job. Always 0 in the classic engine.
-	gen int
+	// remain memoizes RemainingWork while remainOK holds. completeTask,
+	// the only writer of StageRun.Completed, clears remainOK; records
+	// start with it clear, whether new, restored or re-acquired from the
+	// pool, and clone copies it together with the counts it matches.
+	remain   float64
+	remainOK bool
+	// cp holds CriticalPathWork's vector once computed (empty before).
+	// Its backing array survives pool recycling, like arena's.
+	cp []float64
 	// holdReady mirrors len(held) > 0 && len(runnable) > 0 — the job can
 	// serve a held executor right now. The cluster counts holdReady jobs
 	// so the hold-mode dispatch pass is skipped entirely when no job has
@@ -197,20 +220,35 @@ type JobRun struct {
 	holdReady bool
 }
 
-// Generation returns the recycle count of this runtime record (always 0
-// outside the streaming engine). A (pointer, generation) pair is a
-// stable identity for caches that outlive one job's run: when the
-// generation moves, the record was retired and now carries another job.
-func (j *JobRun) Generation() int { return j.gen }
-
 // RemainingWork returns the job's undone work in executor-seconds,
-// counting both undispatched and in-flight tasks.
+// counting both undispatched and in-flight tasks. The sum is memoized
+// until the next task completion and recomputed by the same loop, so a
+// memoized answer has the same bits as a fresh one.
+//
+//pcaps:hotpath
 func (j *JobRun) RemainingWork() float64 {
-	var w float64
-	for _, s := range j.Stages {
-		w += float64(s.Stage.NumTasks-s.Completed) * s.Stage.TaskDuration
+	if !j.remainOK {
+		var w float64
+		for _, s := range j.Stages {
+			w += float64(s.Stage.NumTasks-s.Completed) * s.Stage.TaskDuration
+		}
+		j.remain, j.remainOK = w, true
 	}
-	return w
+	return j.remain
+}
+
+// CriticalPathWork returns, per stage ID, the work on the heaviest
+// downstream chain starting at that stage (dag.Job.CriticalPathWorkDown).
+// The DAG never changes after admission, so the vector is computed once
+// per job, into a backing array the streaming pool reuses across
+// recycles. The slice belongs to the record and must not be modified.
+//
+//pcaps:hotpath
+func (j *JobRun) CriticalPathWork() []float64 {
+	if len(j.cp) == 0 {
+		j.cp = j.Job.AppendCriticalPathWorkDown(j.cp[:0])
+	}
+	return j.cp
 }
 
 // StageRef identifies a runnable stage to a scheduler.
@@ -980,6 +1018,7 @@ func (c *Cluster) completeTask(e *executor) {
 		return
 	}
 	st.Completed++
+	j.remainOK = false
 	c.invalidate()
 	if st.Completed == st.Stage.NumTasks {
 		c.finishStage(j, st)

@@ -336,8 +336,8 @@ func (p *runPool) acquire(j *dag.Job, index int) *JobRun {
 	} else {
 		stages = stages[:ns]
 	}
-	runnable, held, gen := jr.runnable[:0], jr.held[:0], jr.gen+1
-	*jr = JobRun{Job: j, Stages: stages, arena: arena, index: index, runnable: runnable, held: held, gen: gen}
+	runnable, held, cp := jr.runnable[:0], jr.held[:0], jr.cp[:0]
+	*jr = JobRun{Job: j, Stages: stages, arena: arena, index: index, runnable: runnable, held: held, cp: cp}
 	for i, stg := range j.Stages {
 		arena[i] = StageRun{Stage: stg, ParentsLeft: len(stg.Parents)}
 		stages[i] = &arena[i]
