@@ -525,47 +525,6 @@ func BenchmarkCOpt(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepPrefixReuse measures the common-prefix group runner
-// against the same sweep run policy-by-policy: one Decima baseline plus
-// PCAPS at five γ settings over a shared (config, jobs) cell — the fig13
-// frontier shape. The group variant simulates the shared decision prefix
-// once and forks at the first divergent decision; the sequential variant
-// re-simulates from scratch per policy. Their results are byte-identical
-// (TestRunGroupMatchesSequential); the ns/op ratio is the prefix-reuse
-// speedup.
-func BenchmarkSweepPrefixReuse(b *testing.B) {
-	gammas := []float64{0.1, 0.25, 0.5, 0.75, 1.0}
-	mkScheds := func(seed int64) []sim.Scheduler {
-		scheds := []sim.Scheduler{sched.NewDecima(seed)}
-		for _, g := range gammas {
-			scheds = append(scheds, sched.NewPCAPS(sched.NewDecima(seed), g, seed))
-		}
-		return scheds
-	}
-	cfg := benchTrace(b)
-	cfg.Seed = 42
-	jobs := schedBatch(40, 8, 4, 5, 40)
-
-	b.Run("group", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunGroup(cfg, jobs, mkScheds(cfg.Seed)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sequential", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, s := range mkScheds(cfg.Seed) {
-				if _, err := sim.Run(cfg, jobs, s); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-}
-
 // placementSnapshot builds one contended mid-run snapshot for the
 // placement benchmarks: several active jobs, a mix of busy and idle
 // executors, captured through the same Observer hook the placement

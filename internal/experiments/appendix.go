@@ -80,14 +80,11 @@ func runAxis(opt Options, label string, proto bool, mix workload.Mix,
 			baseSched = sched.NewKubeDefault()
 			capInner = func() sim.Scheduler { return sched.NewKubeDefault() }
 		}
-		// Grouped by shared decision prefix (see mustRunGroup): the CAP
-		// wrapper with its inner policy, PCAPS with its Decima base.
-		g := mustRunGroup(cfg, jobs, baseSched, sched.NewCAP(capInner(), 20))
-		p := mustRunGroup(cfg, jobs,
-			sched.NewDecima(seed), sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed))
 		runs[i] = map[string]*sim.Result{
-			"": g[0], "CAP": g[1],
-			"Decima": p[0], "PCAPS": p[1],
+			"":       mustRun(cfg, jobs, baseSched),
+			"CAP":    mustRun(cfg, jobs, sched.NewCAP(capInner(), 20)),
+			"Decima": mustRun(cfg, jobs, sched.NewDecima(seed)),
+			"PCAPS":  mustRun(cfg, jobs, sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed)),
 		}
 	})
 	for i, c := range cells {

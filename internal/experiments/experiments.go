@@ -373,19 +373,6 @@ func mustRun(cfg sim.Config, jobs []*dag.Job, s sim.Scheduler) *sim.Result {
 	return res
 }
 
-// mustRunGroup runs one cell's scheduler variants as a common-prefix
-// group (sim.RunGroup): the shared decision prefix simulates once and
-// variants fork at their first divergent decision. Results are
-// positionally parallel to scheds and byte-identical to len(scheds)
-// mustRun calls.
-func mustRunGroup(cfg sim.Config, jobs []*dag.Job, scheds ...sim.Scheduler) []*sim.Result {
-	res, err := sim.RunGroup(cfg, jobs, scheds)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	return res
-}
-
 // scenarioPool adapts the experiment engine's shared-budget worker pool
 // to the scenario layer's Pool interface, so a built-in artifact
 // declared as a scenario spec draws its cell workers from the same

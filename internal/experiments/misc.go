@@ -188,14 +188,9 @@ func fig9(opt Options) (*result.Artifact, error) {
 		jobs := batch(n, 30, workload.MixBoth, seed)
 		tr := e.trialTrace(c.grid, 60+n, seed)
 		cfg := protoConfig(tr, seed)
-		// The baseline and CAP share a decision prefix (identical while
-		// the quota stays at K); PCAPS runs alone — its Decima base isn't
-		// in this cell.
-		g := mustRunGroup(cfg, jobs,
-			sched.NewKubeDefault(), sched.NewCAP(sched.NewKubeDefault(), 20))
 		runs[i] = scatterRuns{
-			base: g[0],
-			cp:   g[1],
+			base: mustRun(cfg, jobs, sched.NewKubeDefault()),
+			cp:   mustRun(cfg, jobs, sched.NewCAP(sched.NewKubeDefault(), 20)),
 			pc:   mustRun(cfg, jobs, sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed)),
 		}
 	})

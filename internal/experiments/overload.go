@@ -54,7 +54,7 @@ func (a *overloadAgg) add(s metrics.OpenLoop, carbonGrams float64) {
 // on the DE grid, reporting open-loop queueing metrics: backlog depth,
 // JCT quantiles, queueing delay beyond the critical path, goodput, and
 // the carbon account. Each (shape, trial) cell runs the three policies
-// as one common-prefix group over the shape's batch.
+// over the shape's batch.
 func runOverload(opt Options) (*result.Artifact, error) {
 	e := newEnv(opt.scoped("DE"))
 	trials := opt.Trials
@@ -119,12 +119,13 @@ func runOverload(opt Options) (*result.Artifact, error) {
 		}
 		tr := e.trialTrace("DE", 60+n, seed)
 		cfg := simConfig(tr, seed)
-		group := mustRunGroup(cfg, jobs, newScheds(seed)...)
+		scheds := newScheds(seed)
 		out := cellOut{
-			open:   make([]metrics.OpenLoop, len(group)),
-			carbon: make([]float64, len(group)),
+			open:   make([]metrics.OpenLoop, len(scheds)),
+			carbon: make([]float64, len(scheds)),
 		}
-		for k, res := range group {
+		for k, s := range scheds {
+			res := mustRun(cfg, jobs, s)
 			out.open[k] = metrics.SummarizeOpenLoop(arr, res.JCTs, cps)
 			out.carbon[k] = res.CarbonGrams
 		}

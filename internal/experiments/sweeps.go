@@ -129,9 +129,7 @@ func fig13(opt Options) (*result.Artifact, error) {
 		n = 25
 	}
 	// One cell per trial: the Decima baseline and every (γ, B) point run
-	// as a common-prefix group over the trial's shared (cfg, jobs, seed)
-	// — neighboring parameter values share almost every decision, so the
-	// shared prefix simulates once (sim.RunGroup). Folded back in
+	// over the trial's shared (cfg, jobs, seed). Folded back in
 	// trial-major order, exactly the historical sample order.
 	states := make([]trialState, trials)
 	perTrial := len(gammas) + len(bs)
@@ -141,17 +139,14 @@ func fig13(opt Options) (*result.Artifact, error) {
 		jobs := batch(n, 30, workload.MixTPCH, seed)
 		tr := e.trialTrace("DE", 60+n, seed)
 		cfg := simConfig(tr, seed)
-		scheds := make([]sim.Scheduler, 0, perTrial+1)
-		scheds = append(scheds, sched.NewDecima(seed))
-		for _, g := range gammas {
-			scheds = append(scheds, sched.NewPCAPS(sched.NewDecima(seed), g, seed))
+		states[t] = trialState{jobs: jobs, cfg: cfg, base: mustRun(cfg, jobs, sched.NewDecima(seed))}
+		out := runs[t*perTrial : (t+1)*perTrial]
+		for i, g := range gammas {
+			out[i] = mustRun(cfg, jobs, sched.NewPCAPS(sched.NewDecima(seed), g, seed))
 		}
-		for _, b := range bs {
-			scheds = append(scheds, sched.NewCAP(sched.NewDecima(seed), b))
+		for i, b := range bs {
+			out[len(gammas)+i] = mustRun(cfg, jobs, sched.NewCAP(sched.NewDecima(seed), b))
 		}
-		group := mustRunGroup(cfg, jobs, scheds...)
-		states[t] = trialState{jobs: jobs, cfg: cfg, base: group[0]}
-		copy(runs[t*perTrial:(t+1)*perTrial], group[1:])
 	})
 	var pcapsPts, capPts []metrics.Point // X = relative ECT, Y = carbon reduction %
 	for t := 0; t < trials; t++ {

@@ -175,16 +175,12 @@ func table2(opt Options) (*result.Artifact, error) {
 		jobs := batch(c.size, 30, workload.MixBoth, seed)
 		window := 60 + c.size // hours: generous for the batch
 		tr := e.trialTrace(c.grid, window, seed)
-		// Grouped by shared decision prefix: CAP over the default FIFO is
-		// exactly the default while the quota stays at K, and PCAPS shares
-		// Decima's sampling stream until its first filtered decision.
-		g := mustRunGroup(protoConfig(tr, seed), jobs,
-			sched.NewKubeDefault(), sched.NewCAP(sched.NewKubeDefault(), 20))
-		p := mustRunGroup(protoConfig(tr, seed), jobs,
-			sched.NewDecima(seed), sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed))
+		cfg := protoConfig(tr, seed)
 		return map[string]*sim.Result{
-			"default": g[0], "CAP": g[1],
-			"Decima": p[0], "PCAPS": p[1],
+			"default": mustRun(cfg, jobs, sched.NewKubeDefault()),
+			"CAP":     mustRun(cfg, jobs, sched.NewCAP(sched.NewKubeDefault(), 20)),
+			"Decima":  mustRun(cfg, jobs, sched.NewDecima(seed)),
+			"PCAPS":   mustRun(cfg, jobs, sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed)),
 		}
 	})
 	t := schedulerTable("default")
@@ -208,18 +204,14 @@ func table3(opt Options) (*result.Artifact, error) {
 		jobs := batch(c.size, 30, workload.MixTPCH, seed)
 		tr := e.trialTrace(c.grid, 60+c.size, seed)
 		cfg := simConfig(tr, seed)
-		// Each CAP wrapper groups with its inner scheduler (identical
-		// decisions while the quota stays at K), and PCAPS with the
-		// Decima pair it samples from.
-		f := mustRunGroup(cfg, jobs, &sched.FIFO{}, sched.NewCAP(&sched.FIFO{}, 20))
-		w := mustRunGroup(cfg, jobs, &sched.WeightedFair{}, sched.NewCAP(&sched.WeightedFair{}, 20))
-		d := mustRunGroup(cfg, jobs,
-			sched.NewDecima(seed), sched.NewCAP(sched.NewDecima(seed), 20),
-			sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed))
 		return map[string]*sim.Result{
-			"FIFO": f[0], "CAP-FIFO": f[1],
-			"W.Fair": w[0], "CAP-W.Fair": w[1],
-			"Decima": d[0], "CAP-Decima": d[1], "PCAPS": d[2],
+			"FIFO":        mustRun(cfg, jobs, &sched.FIFO{}),
+			"CAP-FIFO":    mustRun(cfg, jobs, sched.NewCAP(&sched.FIFO{}, 20)),
+			"W.Fair":      mustRun(cfg, jobs, &sched.WeightedFair{}),
+			"CAP-W.Fair":  mustRun(cfg, jobs, sched.NewCAP(&sched.WeightedFair{}, 20)),
+			"Decima":      mustRun(cfg, jobs, sched.NewDecima(seed)),
+			"CAP-Decima":  mustRun(cfg, jobs, sched.NewCAP(sched.NewDecima(seed), 20)),
+			"PCAPS":       mustRun(cfg, jobs, sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed)),
 			"GreenHadoop": mustRun(cfg, jobs, sched.NewGreenHadoop()),
 		}
 	})

@@ -111,18 +111,6 @@ func mustRunStream(cfg sim.Config, src sim.JobSource, s sim.Scheduler) *sim.Resu
 	return res
 }
 
-// mustRunGroup runs one cell's policy variants as a common-prefix group
-// (sim.RunGroup): one shared simulation up to the first policy-divergent
-// decision, per-variant forks after. Results are positionally parallel
-// to scheds and byte-identical to len(scheds) mustRun calls.
-func mustRunGroup(cfg sim.Config, jobs []*dag.Job, scheds []sim.Scheduler) []*sim.Result {
-	res, err := sim.RunGroup(cfg, jobs, scheds)
-	if err != nil {
-		panic(simError{fmt.Errorf("scenario: %w", err)})
-	}
-	return res
-}
-
 // runEnv is the resolved execution state shared by the three families.
 type runEnv struct {
 	spec   Spec
@@ -475,7 +463,7 @@ func (r *runEnv) runComparison() (*result.Artifact, error) {
 		if r.streaming() {
 			// Hyperscale mode: each policy drains a fresh copy of the
 			// same seeded job stream through the memory-bounded engine.
-			// Summaries are identical to the classic path (the RunStream
+			// Summaries are identical to sim.Run's (the RunStream
 			// equivalence contract, DESIGN.md §10); the comparison reads
 			// only CarbonGrams and ECT, which need no per-job slices.
 			out := map[string]*sim.Result{
@@ -488,19 +476,9 @@ func (r *runEnv) runComparison() (*result.Artifact, error) {
 			return
 		}
 		jobs := r.batch(c.size, cellSeed)
-		// The baseline and every policy run as one common-prefix group:
-		// variants share the simulation until their first divergent
-		// decision (sim.RunGroup), which is most of the run for wrapper
-		// policies in low-carbon windows.
-		scheds := make([]sim.Scheduler, 0, len(names)+1)
-		scheds = append(scheds, baseline(cellSeed))
+		out := map[string]*sim.Result{"": mustRun(cfg, jobs, baseline(cellSeed))}
 		for _, name := range names {
-			scheds = append(scheds, factories[name](cellSeed))
-		}
-		group := mustRunGroup(cfg, jobs, scheds)
-		out := map[string]*sim.Result{"": group[0]}
-		for k, name := range names {
-			out[name] = group[k+1]
+			out[name] = mustRun(cfg, jobs, factories[name](cellSeed))
 		}
 		runs[i] = out
 	})
@@ -686,12 +664,9 @@ func (r *runEnv) runSweep() (*result.Artifact, error) {
 		aware[i] = f
 	}
 
-	// One cell per trial: the baseline and every parameter point run as a
-	// common-prefix group over the trial's shared (cfg, jobs, seed) —
-	// neighboring sweep values share almost every scheduling decision, so
-	// sim.RunGroup simulates the shared prefix once and forks per value.
-	// The fold walks trials in order so the sample order matches a serial
-	// sweep exactly.
+	// One cell per trial: the baseline and every parameter point run over
+	// the trial's shared (cfg, jobs, seed). The fold walks trials in order
+	// so the sample order matches a serial sweep exactly.
 	states := make([]sweepState, trials)
 	runs := make([][]*sim.Result, trials)
 	r.pool.ForEach(trials, func(t int) {
@@ -699,14 +674,11 @@ func (r *runEnv) runSweep() (*result.Artifact, error) {
 		jobs := r.batch(n, cellSeed)
 		tr := trialWindow(m.trace, 60+n, cellSeed)
 		cfg := r.baseConfig(tr, cellSeed, m)
-		scheds := make([]sim.Scheduler, 0, len(values)+1)
-		scheds = append(scheds, baseline(cellSeed))
+		states[t] = sweepState{jobs: jobs, cfg: cfg, base: mustRun(cfg, jobs, baseline(cellSeed))}
+		runs[t] = make([]*sim.Result, len(values))
 		for i := range values {
-			scheds = append(scheds, aware[i](cellSeed))
+			runs[t][i] = mustRun(cfg, jobs, aware[i](cellSeed))
 		}
-		group := mustRunGroup(cfg, jobs, scheds)
-		states[t] = sweepState{jobs: jobs, cfg: cfg, base: group[0]}
-		runs[t] = group[1:]
 	})
 	for t := 0; t < trials; t++ {
 		for i := range values {

@@ -279,8 +279,8 @@ type EngineSpec struct {
 	// Stream runs each cell through the memory-bounded streaming engine
 	// (sim.RunStream over a lazy workload source) instead of
 	// materializing the batch — the hyperscale mode of DESIGN.md §10.
-	// Summaries are identical to the classic engine's; only the
-	// common-prefix group sharing is given up. Comparison family only.
+	// Summaries are identical to sim.Run's, since both drive one event
+	// loop; only memory differs. Comparison family only.
 	Stream bool `json:"stream,omitempty"`
 }
 
@@ -437,9 +437,9 @@ func (s *Spec) Validate() error {
 			return fieldErr("engine.executors", "%d exceeds the spec ceiling of %d", e.Executors, MaxSpecExecutors)
 		}
 		if e.Stream && (s.Sweep != nil || s.Federation != nil) {
-			// Sweeps and federations lean on batch replay (common-prefix
-			// groups, per-member routing of one materialized batch); the
-			// flag would be silently ignored there.
+			// Sweeps and federations lean on batch replay (per-member
+			// routing of one materialized batch); the flag would be
+			// silently ignored there.
 			return fieldErr("engine.stream", "the streaming engine applies to comparison scenarios only")
 		}
 	}

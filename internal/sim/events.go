@@ -3,8 +3,7 @@ package sim
 type eventKind int
 
 const (
-	evArrival eventKind = iota
-	evTaskDone
+	evTaskDone eventKind = iota
 	evCarbon
 	evHoldExpire
 )
@@ -13,8 +12,7 @@ const (
 type event struct {
 	at   float64
 	kind eventKind
-	job  *JobRun   // evArrival
-	exec *executor // evTaskDone
+	exec *executor // evTaskDone, evHoldExpire
 	seq  int       // tiebreaker for deterministic ordering
 }
 

@@ -121,72 +121,27 @@ func TestRunRecordMemosMatchFreshComputation(t *testing.T) {
 	}
 }
 
-// memoChecker checks the memos at every Pick, then delegates. It records
-// each cluster it was consulted on (a RunGroup variant that forks is
-// consulted on its clone too) and snapshots the cluster once, mid-run.
+// memoChecker checks the memos at every Pick, then delegates. It
+// snapshots the cluster once, mid-run.
 type memoChecker struct {
-	oracle   *memoOracle
-	inner    sim.Scheduler
-	clusters map[*sim.Cluster]bool
-	picks    int
-	snap     *sim.Snapshot
+	oracle *memoOracle
+	inner  sim.Scheduler
+	picks  int
+	snap   *sim.Snapshot
 }
 
 func newMemoChecker(oracle *memoOracle, inner sim.Scheduler) *memoChecker {
-	return &memoChecker{oracle: oracle, inner: inner, clusters: map[*sim.Cluster]bool{}}
+	return &memoChecker{oracle: oracle, inner: inner}
 }
 
 func (m *memoChecker) Name() string { return m.inner.Name() }
 func (m *memoChecker) Pick(c *sim.Cluster) sim.Decision {
 	m.picks++
-	m.clusters[c] = true
 	m.oracle.check(c, "pick", m.picks)
 	if m.snap == nil && m.picks >= 10 && len(c.ActiveJobs()) > 1 {
 		m.snap = c.Snapshot()
 	}
 	return m.inner.Pick(c)
-}
-
-// TestRunRecordMemosSurviveFork checks the memos in RunGroup, where a
-// fork clones the run records together with their memos: the PCAPS
-// variants diverge from Decima on a swinging trace and finish on clones.
-func TestRunRecordMemosSurviveFork(t *testing.T) {
-	t.Parallel()
-	vals := make([]float64, 600)
-	for i := range vals {
-		vals[i] = 300 + 250*math.Sin(float64(i)/10)
-	}
-	tr, err := carbon.New("swing", 60, vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seed := range []int64{1, 7} {
-		jobs := workload.Batch(workload.BatchConfig{N: 12, MeanInterarrival: 45, Mix: workload.MixTPCH, Seed: seed})
-		var checkers []*memoChecker
-		var scheds []sim.Scheduler
-		for _, s := range []sim.Scheduler{
-			sched.NewDecima(seed),
-			sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed),
-			sched.NewPCAPS(sched.NewDecima(seed), 0.9, seed),
-			&sched.WeightedFair{},
-		} {
-			m := newMemoChecker(newMemoOracle(t), s)
-			checkers = append(checkers, m)
-			scheds = append(scheds, m)
-		}
-		if _, err := sim.RunGroup(sim.Config{NumExecutors: 12, Trace: tr, Seed: seed}, jobs, scheds); err != nil {
-			t.Fatal(err)
-		}
-		forked := 0
-		for _, m := range checkers[1:] {
-			if len(m.clusters) > 1 {
-				forked++
-			}
-		}
-		if forked == 0 {
-			t.Fatalf("seed %d: no variant forked; the clone path went unchecked", seed)
-		}
-	}
 }
 
 // TestRecycledRunReusesCriticalPathArray drains a strictly sequential

@@ -26,9 +26,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"pcaps/internal/carbon"
 	"pcaps/internal/dag"
+	"pcaps/internal/metrics"
 )
 
 // Config parameterizes one simulation run.
@@ -98,9 +100,9 @@ type Config struct {
 	// generous default.
 	MaxEvents int
 	// PerJobResults gates the O(jobs) Result slices (JCTs, JobCarbon).
-	// The zero value keeps them for Run (compatibility) and drops them
-	// for RunStream (memory-bounded by construction); PerJobOn / PerJobOff
-	// force either choice on either engine.
+	// The zero value keeps them for Run and drops them for RunStream
+	// (memory-bounded by construction); PerJobOn / PerJobOff force either
+	// choice on either entry point.
 	PerJobResults PerJob
 	// TrackJobUsage additionally records each job's busy
 	// executor-seconds per carbon interval (Result.JobUsage) — the
@@ -119,7 +121,7 @@ type PerJob int
 
 const (
 	// PerJobDefault keeps per-job slices in Run and drops them in
-	// RunStream — each engine's historical/natural behaviour.
+	// RunStream — each entry point's natural behaviour.
 	PerJobDefault PerJob = iota
 	// PerJobOn always records Result.JCTs and Result.JobCarbon.
 	PerJobOn
@@ -179,9 +181,9 @@ type JobRun struct {
 	StagesDone int
 	// Executors counts executors currently bound to the job.
 	Executors int
-	// Arrived reports whether the job's arrival event has fired.
-	Arrived bool
-	// index is the job's position in the batch, for usage attribution.
+	// index is the job's position in Run's batch, or its admission rank
+	// in RunStream. It orders the active list, indexes the per-job
+	// results, and drives move-delay accounting.
 	index int
 	// Done reports completion; CompletedAt is its timestamp.
 	Done        bool
@@ -198,14 +200,14 @@ type JobRun struct {
 	// (HoldExecutors mode), so hold-mode dispatch and job-completion
 	// release never scan the whole cluster.
 	held []*executor
-	// arena backs Stages for pooled runs (RunStream): stage records live
-	// contiguously and are reused across recycles. Nil in the classic
-	// engine, where stage records are allocated individually.
+	// arena backs Stages for pooled runs: stage records live contiguously
+	// and are reused across recycles. Nil in a restored cluster, where
+	// stage records are allocated individually.
 	arena []StageRun
 	// remain memoizes RemainingWork while remainOK holds. completeTask,
 	// the only writer of StageRun.Completed, clears remainOK; records
 	// start with it clear, whether new, restored or re-acquired from the
-	// pool, and clone copies it together with the counts it matches.
+	// pool.
 	remain   float64
 	remainOK bool
 	// cp holds CriticalPathWork's vector once computed (empty before).
@@ -300,8 +302,8 @@ type executor struct {
 	holdExpire float64
 	// lastJob remembers the previous binding's job index for move-delay
 	// accounting (-1 before the first binding). Indices rather than
-	// *JobRun pointers: the streaming engine recycles JobRun records
-	// through a pool, so a pointer could alias a later job and silently
+	// *JobRun pointers: the engine recycles JobRun records through a
+	// pool, so a pointer could alias a later job and silently
 	// skip its hand-off delay, while indices are never reused.
 	lastJob int
 	// heldPos is this executor's index in reserved.held, for O(1)
@@ -317,7 +319,6 @@ type Cluster struct {
 	cfg    Config
 	clock  float64
 	execs  []*executor
-	jobs   []*JobRun
 	events eventHeap
 	rng    *rand.Rand
 	// busyCount counts executors running a task; activeCount adds the
@@ -347,11 +348,9 @@ type Cluster struct {
 	// scan over all jobs in unfinished().
 	doneCount int
 
-	// streaming marks a RunStream-driven cluster: jobs are admitted from
-	// a source (c.jobs stays empty), admitted counts them, srcDone
-	// records source exhaustion, and finishStage parks completed jobs in
+	// admitted counts the jobs the loop has admitted, srcDone records that
+	// its feed is exhausted, and finishStage parks completed jobs in
 	// doneScratch for retirement after the event's scheduling pass.
-	streaming   bool
 	srcDone     bool
 	admitted    int
 	doneScratch []*JobRun
@@ -378,12 +377,6 @@ type Cluster struct {
 	retries int
 	// jobUsage mirrors usage per job when Config.TrackJobUsage is set.
 	jobUsage [][]float64
-
-	// sink, when non-nil, receives NoteDeferral accounting instead of the
-	// cluster's own counters. The lockstep group runner (fork.go) points
-	// it at the per-variant sink before each scheduler's Pick so shadow
-	// schedulers evaluated on shared state never pollute each other.
-	sink *deferralSink
 
 	// boundsClock/boundsLo/boundsHi cache the oracle CarbonBounds for the
 	// current clock value: CAP-style wrappers query the bounds on every
@@ -445,17 +438,14 @@ func (c *Cluster) RunningCount() int { return c.busyCount }
 // IdleCount returns the number of executors in the shared free pool.
 func (c *Cluster) IdleCount() int { return len(c.execs) - c.activeCount }
 
-// Jobs returns all jobs in arrival order (including future and finished
-// ones; check Arrived/Done).
-func (c *Cluster) Jobs() []*JobRun { return c.jobs }
-
 // invalidate marks every cached view stale. It must be called (at least
 // once) on any state change that can alter what schedulers observe:
-// arrivals, task dispatch, task completion, executor release, hold
+// admissions, task dispatch, task completion, executor release, hold
 // expiry, and job completion.
 func (c *Cluster) invalidate() { c.epoch++ }
 
-// ActiveJobs returns arrived, incomplete jobs in arrival order.
+// ActiveJobs returns admitted, incomplete jobs in index order (batch
+// order for Run, arrival order for RunStream).
 //
 // The returned slice is a live view owned by the cluster: it is valid
 // until the next state change (in practice, until the scheduler's Pick
@@ -465,8 +455,8 @@ func (c *Cluster) invalidate() { c.epoch++ }
 func (c *Cluster) ActiveJobs() []*JobRun { return c.active }
 
 // Runnable returns references to every stage that can accept work:
-// arrived job, all parents complete, undispatched tasks remaining, and
-// per-job cap not exhausted. Order is deterministic (job arrival order,
+// active job, all parents complete, undispatched tasks remaining, and
+// per-job cap not exhausted. Order is deterministic (ActiveJobs order,
 // then stage ID).
 //
 // The returned slice is an epoch-cached view owned by the cluster:
@@ -514,11 +504,6 @@ func (c *Cluster) NoteDeferral(ref StageRef) {
 	if ref.Stage != nil {
 		work = float64(ref.Stage.RemainingTasks()) * ref.Stage.Stage.TaskDuration
 	}
-	if c.sink != nil {
-		c.sink.deferrals++
-		c.sink.deferredWork += work
-		return
-	}
 	c.deferrals++
 	c.deferredWork += work
 }
@@ -552,8 +537,8 @@ type Result struct {
 	// Deferrals and DeferredWork report carbon-filter activity.
 	Deferrals    int
 	DeferredWork float64
-	// Stream carries the streaming reducers' summary; non-nil only for
-	// RunStream results.
+	// Stream carries the streaming reducers' summary: in-flight depth,
+	// JCT quantile sketches and run-record reuse.
 	Stream *StreamStats
 	// TaskRetries counts failed task attempts that were retried.
 	TaskRetries int
@@ -565,32 +550,68 @@ type Result struct {
 
 // Run simulates the batch of jobs under the scheduler until every job
 // completes, returning the run summary. Jobs are deep-copied so templates
-// can be reused across runs.
+// can be reused across runs. Run drives the event loop RunStream uses,
+// fed from the batch: jobs are admitted in arrival order, ties in batch
+// order, and each keeps its batch position as its index, so per-job
+// results, TotalWork and AvgJCT all come out in batch order.
 func Run(cfg Config, jobs []*dag.Job, s Scheduler) (*Result, error) {
-	c, totalWork, err := newCluster(cfg, jobs)
+	c, err := idleCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
-	events, err := c.loopFrom(s, 0)
+	batch := make([]*dag.Job, len(jobs))
+	order := make([]int, len(jobs))
+	var totalWork float64
+	for i, tpl := range jobs {
+		// Clone before validating: Validate normalizes edge lists in
+		// place, and templates are shared by concurrent runs (the
+		// experiment engine fans cells out over a worker pool), so the
+		// shared template must only ever be read.
+		j := tpl.Clone()
+		if err := j.Validate(); err != nil {
+			return nil, fmt.Errorf("sim: job %d: %w", tpl.ID, err)
+		}
+		batch[i], order[i] = j, i
+		totalWork += j.TotalWork()
+	}
+	sort.SliceStable(order, func(a, b int) bool { return batch[order[a]].Arrival < batch[order[b]].Arrival })
+	if cfg.TrackJobUsage {
+		c.jobUsage = make([][]float64, len(jobs))
+	}
+	pos := 0
+	res, err := c.run(func() (*dag.Job, int, error) {
+		if pos == len(order) {
+			return nil, 0, nil
+		}
+		i := order[pos]
+		pos++
+		return batch[i], i, nil
+	}, s, true)
 	if err != nil {
 		return nil, err
 	}
-	return c.buildResult(s.Name(), totalWork, events)
+	// The loop sums TotalWork in admission order; the batch-order sum is
+	// Run's contract. Per-job results were kept so AvgJCT sums in batch
+	// order too, even when the caller does not want them.
+	res.TotalWork = totalWork
+	if cfg.PerJobResults == PerJobOff {
+		res.JCTs, res.JobCarbon = nil, nil
+	}
+	return res, nil
 }
 
-// newCluster validates the configuration and builds the initial cluster
-// state: executors in the free pool, cloned-and-validated jobs, arrival
-// events, and the first carbon-boundary event. It returns the batch's
-// total work in executor-seconds alongside the cluster.
-func newCluster(cfg Config, jobs []*dag.Job) (*Cluster, float64, error) {
+// idleCluster validates the configuration, fills in its defaults, and
+// builds a cluster with no jobs: every executor in the free pool and the
+// first carbon-boundary event queued.
+func idleCluster(cfg Config) (*Cluster, error) {
 	if cfg.Trace == nil {
-		return nil, 0, errors.New("sim: config requires a carbon trace")
+		return nil, errors.New("sim: config requires a carbon trace")
 	}
 	if cfg.NumExecutors < 1 {
-		return nil, 0, fmt.Errorf("sim: need at least one executor, got %d", cfg.NumExecutors)
+		return nil, fmt.Errorf("sim: need at least one executor, got %d", cfg.NumExecutors)
 	}
-	if len(jobs) == 0 {
-		return nil, 0, errors.New("sim: no jobs")
+	if cfg.FailureRate < 0 || cfg.FailureRate > 0.9 {
+		return nil, fmt.Errorf("sim: failure rate %v outside [0, 0.9]", cfg.FailureRate)
 	}
 	if cfg.ForecastHorizon <= 0 {
 		cfg.ForecastHorizon = 48 * cfg.Trace.Interval
@@ -598,56 +619,97 @@ func newCluster(cfg Config, jobs []*dag.Job) (*Cluster, float64, error) {
 	if cfg.MaxEvents <= 0 {
 		cfg.MaxEvents = 20_000_000
 	}
-	if cfg.FailureRate < 0 || cfg.FailureRate > 0.9 {
-		return nil, 0, fmt.Errorf("sim: failure rate %v outside [0, 0.9]", cfg.FailureRate)
-	}
-
 	c := &Cluster{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), epoch: 1}
 	c.boundsClock = math.NaN() // cache starts invalid (clock starts at 0)
 	c.execs = make([]*executor, cfg.NumExecutors)
 	c.free = make(intHeap, 0, cfg.NumExecutors)
-	for i := 0; i < cfg.NumExecutors; i++ {
+	for i := range cfg.NumExecutors {
 		c.execs[i] = &executor{id: i, lastJob: -1}
 		c.free.push(i)
 	}
 	// Preallocate the usage timeline to the trace length so the per-event
 	// accounting in advance never grows it.
 	c.usage = make([]float64, 0, len(cfg.Trace.Values))
-	if cfg.TrackJobUsage {
-		c.jobUsage = make([][]float64, len(jobs))
-	}
-	var totalWork float64
-	for idx, tpl := range jobs {
-		// Clone before validating: Validate normalizes edge lists in
-		// place, and templates are shared by concurrent runs (the
-		// experiment engine fans cells out over a worker pool), so the
-		// shared template must only ever be read.
-		j := tpl.Clone()
-		if err := j.Validate(); err != nil {
-			return nil, 0, fmt.Errorf("sim: job %d: %w", tpl.ID, err)
-		}
-		run := &JobRun{Job: j, Stages: make([]*StageRun, len(j.Stages)), index: idx}
-		for i, st := range j.Stages {
-			run.Stages[i] = &StageRun{Stage: st, ParentsLeft: len(st.Parents)}
-		}
-		c.jobs = append(c.jobs, run)
-		totalWork += j.TotalWork()
-		c.push(event{at: j.Arrival, kind: evArrival, job: run})
-	}
 	// Seed carbon-boundary events lazily: push the first boundary; each
 	// handler pushes the next. This keeps the heap small on long traces.
 	if next := cfg.Trace.NextChange(0); !math.IsInf(next, 1) {
 		c.push(event{at: next, kind: evCarbon})
 	}
-	return c, totalWork, nil
+	return c, nil
+}
+
+// feed supplies the event loop's admissions in non-decreasing arrival
+// order: the next job, validated and owned by the engine, with the index
+// its run record takes. A nil job ends the feed.
+type feed func() (*dag.Job, int, error)
+
+// run is the simulator's event loop, shared by Run and RunStream. Each
+// step either admits the feed's next job, once its arrival is due, or
+// processes the earliest event; then the scheduling pass runs, the
+// Observer sees its outcome, and the jobs the step completed retire into
+// the reducers and the run-record pool. perJob keeps the per-job result
+// slices.
+func (c *Cluster) run(next feed, s Scheduler, perJob bool) (*Result, error) {
+	st := &runState{
+		p50:    metrics.NewP2Quantile(0.50),
+		p95:    metrics.NewP2Quantile(0.95),
+		p99:    metrics.NewP2Quantile(0.99),
+		perJob: perJob,
+	}
+	job, index, err := next()
+	if err != nil {
+		return nil, err
+	}
+	if job == nil {
+		return nil, errors.New("sim: no jobs")
+	}
+	var totalWork float64
+	events := 0
+	for {
+		// Admission beats the heap at ties: a job is active before any
+		// other event at its arrival instant is processed.
+		admit := job != nil && (c.events.Len() == 0 || job.Arrival <= c.events.items[0].at)
+		if !admit && c.events.Len() == 0 {
+			break
+		}
+		events++
+		if events > c.cfg.MaxEvents {
+			return nil, fmt.Errorf("sim: exceeded %d events (scheduler livelock?)", c.cfg.MaxEvents)
+		}
+		if admit {
+			totalWork += job.TotalWork()
+			c.advance(job.Arrival)
+			c.admit(st, job, index)
+			if job, index, err = next(); err != nil {
+				return nil, err
+			}
+			c.srcDone = job == nil
+		} else {
+			ev := c.pop()
+			c.advance(ev.at)
+			c.handleEvent(ev)
+		}
+		if err := c.schedule(s); err != nil {
+			return nil, err
+		}
+		if c.cfg.Observer != nil {
+			c.cfg.Observer(c)
+		}
+		c.retire(st)
+		if !c.unfinished() && c.noTaskPending() {
+			break
+		}
+	}
+	if len(c.active) > 0 {
+		return nil, fmt.Errorf("sim: job %d did not complete", c.active[0].Job.ID)
+	}
+	return c.result(s.Name(), st, totalWork, events), nil
 }
 
 // handleEvent applies one popped event's state transition (the clock must
 // already have advanced to ev.at).
 func (c *Cluster) handleEvent(ev event) {
 	switch ev.kind {
-	case evArrival:
-		c.arrive(ev.job)
 	case evTaskDone:
 		c.completeTask(ev.exec)
 	case evCarbon:
@@ -659,83 +721,11 @@ func (c *Cluster) handleEvent(ev event) {
 	}
 }
 
-// loopFrom drives the event loop to completion under one scheduler,
-// starting from the cluster's current state with `events` events already
-// processed (non-zero when resuming a forked clone). It returns the
-// cumulative event count.
-func (c *Cluster) loopFrom(s Scheduler, events int) (int, error) {
-	for c.events.Len() > 0 {
-		events++
-		if events > c.cfg.MaxEvents {
-			return events, fmt.Errorf("sim: exceeded %d events (scheduler livelock?)", c.cfg.MaxEvents)
-		}
-		ev := c.pop()
-		c.advance(ev.at)
-		c.handleEvent(ev)
-		if err := c.schedule(s); err != nil {
-			return events, err
-		}
-		if c.cfg.Observer != nil {
-			c.cfg.Observer(c)
-		}
-		if !c.unfinished() && c.noTaskPending() {
-			break
-		}
-	}
-	return events, nil
-}
-
-// buildResult assembles the run summary from a finished cluster.
-func (c *Cluster) buildResult(name string, totalWork float64, events int) (*Result, error) {
-	res := &Result{
-		Scheduler:    name,
-		Usage:        c.usage,
-		JobUsage:     c.jobUsage,
-		Deferrals:    c.deferrals,
-		DeferredWork: c.deferredWork,
-		TaskRetries:  c.retries,
-		TotalWork:    totalWork,
-		Events:       events,
-	}
-	perJob := c.cfg.PerJobResults != PerJobOff
-	var sumJCT float64
-	for _, j := range c.jobs {
-		if !j.Done {
-			return nil, fmt.Errorf("sim: job %d did not complete", j.Job.ID)
-		}
-		jct := j.CompletedAt - j.Job.Arrival
-		if perJob {
-			res.JCTs = append(res.JCTs, jct)
-			res.JobCarbon = append(res.JobCarbon, j.CarbonGrams)
-		}
-		sumJCT += jct
-		if j.CompletedAt > res.ECT {
-			res.ECT = j.CompletedAt
-		}
-	}
-	res.AvgJCT = sumJCT / float64(len(c.jobs))
-	for i, u := range c.usage {
-		res.CarbonGrams += u * c.cfg.Trace.Values[min(i, len(c.cfg.Trace.Values)-1)] / 3600
-	}
-	return res, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// unfinished reports whether any job is incomplete. doneCount is
-// maintained at the single place a job completes (finishStage), replacing
-// the historical per-event scan over all jobs. A streaming cluster is
-// unfinished while its source has jobs left or an admitted job runs.
+// unfinished reports whether any job is incomplete: the feed has jobs
+// left or an admitted job runs. doneCount is maintained at the single
+// place a job completes (finishStage).
 func (c *Cluster) unfinished() bool {
-	if c.streaming {
-		return !c.srcDone || c.doneCount < c.admitted
-	}
-	return c.doneCount < len(c.jobs)
+	return !c.srcDone || c.doneCount < c.admitted
 }
 
 // updateHoldReady recomputes the job's holdReady bit and keeps the
@@ -756,10 +746,9 @@ func (c *Cluster) updateHoldReady(j *JobRun) {
 // noTaskPending reports whether no task-completion events remain.
 func (c *Cluster) noTaskPending() bool { return c.busyCount == 0 }
 
-// arrive activates a job: it joins the active list (kept in batch order)
+// arrive activates a job: it joins the active list (kept in index order)
 // and its root stages enter the runnable index.
 func (c *Cluster) arrive(j *JobRun) {
-	j.Arrived = true
 	i := len(c.active)
 	for i > 0 && c.active[i-1].index > j.index {
 		i--
@@ -902,7 +891,7 @@ func (c *Cluster) schedule(s Scheduler) error {
 // ascending-ID order, matching the historical whole-cluster scan.
 func (c *Cluster) assign(d Decision) int {
 	j, st := d.Ref.Job, d.Ref.Stage
-	if !j.Arrived || j.Done || !st.Runnable() {
+	if j.Done || !st.Runnable() {
 		return 0
 	}
 	limit := d.Limit
@@ -1130,9 +1119,7 @@ func (c *Cluster) finishStage(j *JobRun, st *StageRun) {
 				break
 			}
 		}
-		if c.streaming {
-			c.doneScratch = append(c.doneScratch, j)
-		}
+		c.doneScratch = append(c.doneScratch, j)
 	}
 	c.invalidate()
 }

@@ -575,7 +575,7 @@ func (p *invariantProbe) Pick(c *Cluster) Decision {
 	}
 	r := c.Runnable()
 	for _, ref := range r {
-		if !ref.Job.Arrived || ref.Job.Done {
+		if ref.Job.Done {
 			p.t.Fatal("runnable stage from inactive job")
 		}
 		if ref.Stage.ParentsLeft != 0 {

@@ -210,7 +210,7 @@ func (s *Snapshot) Restore() (*Cluster, error) {
 		if len(js.Stages) != len(job.Stages) {
 			return nil, snapErr(field+".stages", "%d stage entries for %d stages", len(js.Stages), len(job.Stages))
 		}
-		run := &JobRun{Job: job, Stages: make([]*StageRun, len(job.Stages)), Arrived: true, index: i}
+		run := &JobRun{Job: job, Stages: make([]*StageRun, len(job.Stages)), index: i}
 		for si, st := range job.Stages {
 			ss := js.Stages[si]
 			sf := fmt.Sprintf("%s.stages[%d]", field, si)
@@ -254,7 +254,6 @@ func (s *Snapshot) Restore() (*Cluster, error) {
 		sort.Slice(run.runnable, func(a, b int) bool {
 			return run.runnable[a].Stage.ID < run.runnable[b].Stage.ID
 		})
-		c.jobs = append(c.jobs, run)
 		c.active = append(c.active, run)
 	}
 
@@ -272,10 +271,10 @@ func (s *Snapshot) Restore() (*Cluster, error) {
 		case ExecIdle:
 			c.free.push(id)
 		case ExecBusy, ExecHeld:
-			if es.Job < 0 || es.Job >= len(c.jobs) {
-				return nil, snapErr(field+".job", "job index %d outside [0, %d)", es.Job, len(c.jobs))
+			if es.Job < 0 || es.Job >= len(c.active) {
+				return nil, snapErr(field+".job", "job index %d outside [0, %d)", es.Job, len(c.active))
 			}
-			j := c.jobs[es.Job]
+			j := c.active[es.Job]
 			j.Executors++
 			c.activeCount++
 			if es.State == ExecHeld {
@@ -352,7 +351,7 @@ func (c *Cluster) Place(s Scheduler) Placement {
 	p.StageID = st.Stage.ID
 	p.Limit = limit
 	p.MaxNew = d.MaxNew
-	if !j.Arrived || j.Done || !st.Runnable() {
+	if j.Done || !st.Runnable() {
 		return p
 	}
 	// The closed form of assign's bind loop: each bind advances Running,

@@ -1,10 +1,10 @@
 package sim
 
-// Hyperscale streaming mode (DESIGN.md §10). RunStream is the memory-
-// bounded twin of Run: jobs are admitted lazily from a JobSource as
-// their arrival times come due, completed jobs' runtime state is retired
-// eagerly back into a per-cluster pool (arena-backed stage records), and
-// per-job outputs fold into constant-memory streaming reducers. Peak
+// Hyperscale streaming mode (DESIGN.md §10). RunStream feeds the event
+// loop from a JobSource: jobs are admitted lazily as their arrival times
+// come due, completed jobs' runtime state is retired eagerly back into a
+// per-cluster pool (arena-backed stage records), and per-job outputs
+// fold into constant-memory streaming reducers. Peak
 // memory is proportional to the in-flight job count — offered load times
 // sojourn time — not to the total number of jobs simulated, which is
 // what lets one cluster process millions of jobs on thousands of
@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"pcaps/internal/dag"
 	"pcaps/internal/metrics"
@@ -67,8 +66,8 @@ type StreamStats struct {
 	RecycledRuns int
 }
 
-// streamState carries the reducers and retirement pool of one RunStream.
-type streamState struct {
+// runState carries the reducers and retirement pool of one run.
+type runState struct {
 	pool    runPool
 	backlog metrics.StreamBacklog
 	p50     *metrics.P2Quantile
@@ -76,8 +75,9 @@ type streamState struct {
 	p99     *metrics.P2Quantile
 
 	perJob bool
-	// jcts/jobCarbon are indexed by admission order; only populated when
-	// perJob is set (PerJobOn defeats the memory bound by request).
+	// jcts/jobCarbon are indexed by JobRun.index; only populated when
+	// perJob is set (for RunStream, PerJobOn defeats the memory bound by
+	// request).
 	jcts      []float64
 	jobCarbon []float64
 	// sumJCT accumulates completion-order JCT sums for the PerJobOff
@@ -87,22 +87,17 @@ type streamState struct {
 }
 
 // RunStream simulates jobs drawn lazily from src under the scheduler
-// until the source is exhausted and every admitted job completes. Small
-// batches produce summaries identical to Run (bit-for-bit when
-// PerJobResults is PerJobOn; AvgJCT differs only by float re-association
-// otherwise) — pinned by TestRunStreamMatchesRun — while memory stays
-// bounded by the in-flight job count.
+// until the source is exhausted and every admitted job completes. It
+// drives the same event loop as Run, so small batches produce summaries
+// identical to Run (bit-for-bit when PerJobResults is PerJobOn; AvgJCT
+// differs only by float re-association otherwise) — pinned by
+// TestRunStreamMatchesRun — while memory stays bounded by the in-flight
+// job count.
 //
 // TrackJobUsage and Observer are incompatible with state retirement
 // (both expose per-job state whose lifetime streaming deliberately
 // ends early) and are rejected.
 func RunStream(cfg Config, src JobSource, s Scheduler) (*Result, error) {
-	if cfg.Trace == nil {
-		return nil, errors.New("sim: config requires a carbon trace")
-	}
-	if cfg.NumExecutors < 1 {
-		return nil, fmt.Errorf("sim: need at least one executor, got %d", cfg.NumExecutors)
-	}
 	if src == nil {
 		return nil, errors.New("sim: RunStream requires a job source")
 	}
@@ -112,111 +107,37 @@ func RunStream(cfg Config, src JobSource, s Scheduler) (*Result, error) {
 	if cfg.Observer != nil {
 		return nil, errors.New("sim: RunStream does not support Observer (retired state must not escape)")
 	}
-	if cfg.ForecastHorizon <= 0 {
-		cfg.ForecastHorizon = 48 * cfg.Trace.Interval
-	}
-	if cfg.MaxEvents <= 0 {
-		cfg.MaxEvents = 20_000_000
-	}
-	if cfg.FailureRate < 0 || cfg.FailureRate > 0.9 {
-		return nil, fmt.Errorf("sim: failure rate %v outside [0, 0.9]", cfg.FailureRate)
-	}
-
-	c := &Cluster{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), epoch: 1, streaming: true}
-	c.boundsClock = math.NaN()
-	c.execs = make([]*executor, cfg.NumExecutors)
-	c.free = make(intHeap, 0, cfg.NumExecutors)
-	for i := 0; i < cfg.NumExecutors; i++ {
-		c.execs[i] = &executor{id: i, lastJob: -1}
-		c.free.push(i)
-	}
-	c.usage = make([]float64, 0, len(cfg.Trace.Values))
-	if next := cfg.Trace.NextChange(0); !math.IsInf(next, 1) {
-		c.push(event{at: next, kind: evCarbon})
-	}
-
-	st := &streamState{
-		p50:    metrics.NewP2Quantile(0.50),
-		p95:    metrics.NewP2Quantile(0.95),
-		p99:    metrics.NewP2Quantile(0.99),
-		perJob: cfg.PerJobResults == PerJobOn,
-	}
-
-	var totalWork float64
-	nextJob, err := fetch(src)
+	c, err := idleCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if nextJob == nil {
-		return nil, errors.New("sim: no jobs")
-	}
-	c.srcDone = false
-
-	events := 0
-	var lastArrival float64 = math.Inf(-1)
-	for {
-		// Admission beats the heap at ties: the classic engine seeds every
-		// arrival before any other event, so at equal timestamps arrivals
-		// carry the lowest sequence numbers and fire first. Reproducing
-		// that rule here is what makes the two trajectories identical.
-		admit := nextJob != nil && (c.events.Len() == 0 || nextJob.Arrival <= c.events.items[0].at)
-		if !admit && c.events.Len() == 0 {
-			break
+	n, last := 0, math.Inf(-1)
+	return c.run(func() (*dag.Job, int, error) {
+		j, err := src.Next()
+		if err != nil {
+			return nil, 0, fmt.Errorf("sim: job source: %w", err)
 		}
-		events++
-		if events > c.cfg.MaxEvents {
-			return nil, fmt.Errorf("sim: exceeded %d events (scheduler livelock?)", c.cfg.MaxEvents)
+		if j == nil {
+			return nil, 0, nil
 		}
-		if admit {
-			j := nextJob
-			if j.Arrival < lastArrival {
-				return nil, fmt.Errorf("sim: job %d arrives at %v, before the prior admission at %v (sources must yield non-decreasing arrivals)", j.ID, j.Arrival, lastArrival)
-			}
-			lastArrival = j.Arrival
-			if err := j.Validate(); err != nil {
-				return nil, fmt.Errorf("sim: job %d: %w", j.ID, err)
-			}
-			totalWork += j.TotalWork()
-			c.advance(j.Arrival)
-			c.admit(st, j)
-			if nextJob, err = fetch(src); err != nil {
-				return nil, err
-			}
-			c.srcDone = nextJob == nil
-		} else {
-			ev := c.pop()
-			c.advance(ev.at)
-			c.handleEvent(ev)
+		if j.Arrival < last {
+			return nil, 0, fmt.Errorf("sim: job %d arrives at %v, before the prior admission at %v (sources must yield non-decreasing arrivals)", j.ID, j.Arrival, last)
 		}
-		if err := c.schedule(s); err != nil {
-			return nil, err
+		last = j.Arrival
+		if err := j.Validate(); err != nil {
+			return nil, 0, fmt.Errorf("sim: job %d: %w", j.ID, err)
 		}
-		c.retire(st)
-		if !c.unfinished() && c.noTaskPending() {
-			break
-		}
-	}
-	if c.doneCount < c.admitted {
-		return nil, fmt.Errorf("sim: %d of %d admitted jobs did not complete", c.admitted-c.doneCount, c.admitted)
-	}
-	return c.buildStreamResult(s.Name(), st, totalWork, events)
+		n++
+		return j, n - 1, nil
+	}, s, cfg.PerJobResults == PerJobOn)
 }
 
-// fetch pulls the next job from the source, normalizing its error.
-func fetch(src JobSource) (*dag.Job, error) {
-	j, err := src.Next()
-	if err != nil {
-		return nil, fmt.Errorf("sim: job source: %w", err)
-	}
-	return j, nil
-}
-
-// admit activates one source job: acquire a pooled JobRun, count it, and
-// run the same arrival transition the event handler applies.
+// admit activates one fed job: acquire a pooled JobRun, count it, and
+// run the arrival transition.
 //
 //pcaps:hotpath
-func (c *Cluster) admit(st *streamState, j *dag.Job) {
-	jr := st.pool.acquire(j, c.admitted)
+func (c *Cluster) admit(st *runState, j *dag.Job, index int) {
+	jr := st.pool.acquire(j, index)
 	c.admitted++
 	st.backlog.Arrive(j.Arrival)
 	c.arrive(jr)
@@ -228,7 +149,7 @@ func (c *Cluster) admit(st *streamState, j *dag.Job) {
 // nothing in the cluster references the finished job.
 //
 //pcaps:hotpath
-func (c *Cluster) retire(st *streamState) {
+func (c *Cluster) retire(st *runState) {
 	for i, j := range c.doneScratch {
 		jct := j.CompletedAt - j.Job.Arrival
 		st.p50.Add(jct)
@@ -256,12 +177,13 @@ func (c *Cluster) retire(st *streamState) {
 	c.doneScratch = c.doneScratch[:0]
 }
 
-// buildStreamResult assembles the run summary from the reducers.
-func (c *Cluster) buildStreamResult(name string, st *streamState, totalWork float64, events int) (*Result, error) {
+// result assembles the run summary from the reducers.
+func (c *Cluster) result(name string, st *runState, totalWork float64, events int) *Result {
 	res := &Result{
 		Scheduler:    name,
 		ECT:          st.ect,
 		Usage:        c.usage,
+		JobUsage:     c.jobUsage,
 		Deferrals:    c.deferrals,
 		DeferredWork: c.deferredWork,
 		TaskRetries:  c.retries,
@@ -271,8 +193,8 @@ func (c *Cluster) buildStreamResult(name string, st *streamState, totalWork floa
 	if st.perJob {
 		res.JCTs = st.jcts
 		res.JobCarbon = st.jobCarbon
-		// Sum in admission order — the exact float-op sequence of the
-		// classic buildResult, so the equivalence tests compare bits.
+		// Sum in index order rather than completion order, so the sum
+		// does not depend on the trajectory's completion sequence.
 		var sum float64
 		for _, jct := range st.jcts {
 			sum += jct
@@ -293,7 +215,7 @@ func (c *Cluster) buildStreamResult(name string, st *streamState, totalWork floa
 		P99JCT:       st.p99.Value(),
 		RecycledRuns: st.pool.recycled,
 	}
-	return res, nil
+	return res
 }
 
 // runPool recycles JobRun records between admissions. Stage records live

@@ -54,7 +54,7 @@ func TestIntHeapShrinksAfterBurst(t *testing.T) {
 
 // TestRunStreamRecyclesRuns drives a sequential stream (each job done
 // before the next arrives) and checks the pool actually serves recycled
-// records, the summary matches the classic engine's, and a recycled
+// records, the summary matches Run's, and a recycled
 // JobRun carries no state from its previous occupant — any leak
 // (stage counters, held lists, runnable index) would desynchronize the
 // trajectories and show up in the compared Results.
@@ -151,7 +151,7 @@ func TestRunStreamValidation(t *testing.T) {
 }
 
 // TestRunStreamHoldMode covers the executor-retention path (held lists,
-// reserved-idle heap, expiry events) against the classic engine, since
+// reserved-idle heap, expiry events) against Run, since
 // recycled runs reuse their held-list backing arrays.
 func TestRunStreamHoldMode(t *testing.T) {
 	jobs := make([]*dag.Job, 25)
@@ -173,7 +173,6 @@ func TestRunStreamHoldMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamed.Stream = nil
 	a, _ := json.Marshal(classic)
 	b, _ := json.Marshal(streamed)
 	if string(a) != string(b) {

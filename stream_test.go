@@ -14,11 +14,10 @@ import (
 // TestRunStreamMatchesRun pins the tentpole equivalence contract of the
 // hyperscale mode (DESIGN.md §10): for any (seed, policy, arrival shape)
 // cell, draining a workload.Source through sim.RunStream produces the
-// same summary as materializing the batch and running the classic
-// engine — canonical-JSON-identical with PerJobOn, which forces the
-// streaming path through the classic result arithmetic bit for bit.
-// The Stream sketch block is the one field the classic engine cannot
-// produce and is cleared before comparison.
+// same summary as materializing the batch and running sim.Run on it —
+// canonical-JSON-identical with PerJobOn, which sums AvgJCT in
+// batch order on both sides. Both entry points drive one event loop, so
+// the Stream block matches too.
 func TestRunStreamMatchesRun(t *testing.T) {
 	trace := carbon.SynthesizeAll(48, 60, 42)["CAISO"]
 	mustProc := func(s arrivals.Spec) arrivals.Process {
@@ -90,7 +89,6 @@ func TestRunStreamMatchesRun(t *testing.T) {
 					if streamed.Stream == nil || streamed.Stream.Admitted != gen.N {
 						t.Fatalf("stream stats missing or short: %+v", streamed.Stream)
 					}
-					streamed.Stream = nil
 					want, _ := json.Marshal(classic)
 					got, _ := json.Marshal(streamed)
 					if string(want) != string(got) {
