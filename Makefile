@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint bench clean
+.PHONY: build test vet lint bench loc clean
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,13 @@ BENCH_OUT ?= $(shell n=1; while [ -e BENCH_$$n.json ]; do n=$$((n+1)); done; ech
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -json . > $(BENCH_OUT)
 	@echo "wrote $(BENCH_OUT) ($$(wc -l < $(BENCH_OUT)) events)"
+
+# loc prints the net non-test Go line count, the code-size figure
+# reported next to every BENCH result (ROADMAP aim 2): every .go file
+# except tests, testdata/ fixtures and the benchmark's .bench_build/.
+loc:
+	@find . \( -name .git -o -name testdata -o -name .bench_build \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l
 
 clean:
 	rm -f $(BENCH_OUT)

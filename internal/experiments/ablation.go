@@ -3,7 +3,9 @@ package experiments
 import (
 	"pcaps/internal/ablation"
 	"pcaps/internal/result"
+	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
+	"pcaps/internal/seed"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
 )
@@ -26,10 +28,10 @@ func ablationReport(opt Options) (*result.Artifact, error) {
 	if opt.Fast {
 		n = 25
 	}
+	tr := e.trialTrace("DE", 60+n, seed.Derive(e.opt.Seed, "DE", int64(n)))
 	seed := e.opt.Seed
 	jobs := batch(n, 30, workload.MixTPCH, seed)
-	tr := e.trialTrace("DE", 60+n, cellSeed(e.opt.Seed, "DE", int64(n)))
-	cfg := simConfig(tr, seed)
+	cfg := scenario.StandaloneConfig(tr, seed)
 	gamma := 0.6
 	mk := func() sched.Probabilistic { return sched.NewDecima(seed) }
 	variants := []sim.Scheduler{
@@ -44,8 +46,7 @@ func ablationReport(opt Options) (*result.Artifact, error) {
 	}
 	// Every entry is an independent simulation; hand Compare the pool's
 	// fan-out so the suite spreads across the worker budget.
-	outs, err := ablation.CompareWith(cfg, jobs, sched.NewDecima(seed), variants,
-		func(n int, fn func(i int)) { forEach(e.opt.pool, n, fn) })
+	outs, err := ablation.CompareWith(cfg, jobs, sched.NewDecima(seed), variants, e.opt.pool.ForEach)
 	if err != nil {
 		return nil, err
 	}

@@ -8,7 +8,9 @@ import (
 	"pcaps/internal/dag"
 	"pcaps/internal/metrics"
 	"pcaps/internal/result"
+	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
+	"pcaps/internal/seed"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
 )
@@ -65,18 +67,18 @@ func runAxis(opt Options, label string, proto bool, mix workload.Mix,
 		}
 	}
 	runs := make([]map[string]*sim.Result, len(cells))
-	forEach(opt.pool, len(cells), func(i int) {
+	opt.pool.ForEach(len(cells), func(i int) {
 		c := cells[i]
-		seed := cellSeed(e.opt.Seed, "DE", int64(math.Float64bits(c.setting)), int64(c.trial))
+		seed := seed.Derive(e.opt.Seed, "DE", int64(math.Float64bits(c.setting)), int64(c.trial))
 		njobs, inter := build(c.setting, seed)
 		jobs := batch(njobs, inter, mix, seed)
 		window := 60 + njobs*int(inter+29)/30/1 // rough sizing; Slice clamps
 		tr := e.trialTrace("DE", window, seed)
-		cfg := simConfig(tr, seed)
+		cfg := scenario.StandaloneConfig(tr, seed)
 		baseSched := sim.Scheduler(&sched.FIFO{})
 		capInner := func() sim.Scheduler { return &sched.FIFO{} }
 		if proto {
-			cfg = protoConfig(tr, seed)
+			cfg = scenario.PrototypeConfig(tr, seed)
 			baseSched = sched.NewKubeDefault()
 			capInner = func() sim.Scheduler { return sched.NewKubeDefault() }
 		}
@@ -201,7 +203,7 @@ func fig20(opt Options) (*result.Artifact, error) {
 	for _, qn := range queueSizes {
 		seed := e.opt.Seed
 		jobs := batch(qn, 0.001, workload.MixTPCH, seed) // all queued at once
-		lat := measurePickLatency(simConfig(tr, seed), jobs, reps, map[string]func() sim.Scheduler{
+		lat := measurePickLatency(scenario.StandaloneConfig(tr, seed), jobs, reps, map[string]func() sim.Scheduler{
 			"FIFO":     func() sim.Scheduler { return &sched.FIFO{} },
 			"CAP-FIFO": func() sim.Scheduler { return sched.NewCAP(&sched.FIFO{}, 20) },
 			"Decima":   func() sim.Scheduler { return sched.NewDecima(seed) },

@@ -8,13 +8,11 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync/atomic"
 
 	"pcaps/internal/carbon"
-	"pcaps/internal/cluster"
 	"pcaps/internal/dag"
 	"pcaps/internal/result"
 	"pcaps/internal/scenario"
@@ -41,16 +39,16 @@ type Options struct {
 	Fast bool
 	// Parallel bounds the worker goroutines used to fan independent
 	// experiment cells out over the cores: 0 selects
-	// runtime.GOMAXPROCS(0), 1 forces the serial path. The bound is
-	// shared across nested fan-outs (RunAll's artifact level and each
-	// runner's cell level draw from one pool), so it caps the whole run.
-	// Every cell seeds its randomness from its own identity (see
-	// cellSeed), so reports are byte-identical across Parallel settings.
+	// runtime.GOMAXPROCS(0), 1 forces the serial path. RunAll's artifact
+	// level, each runner's cells and the specs runners compile draw from
+	// one scenario.NewPool, so the bound caps the whole run. Every cell
+	// seeds its randomness from its own identity (seed.Derive), so
+	// reports are byte-identical across Parallel settings.
 	Parallel int
 
 	// pool is the shared worker budget, created once per Run/RunAll
 	// entry and threaded through scoped() copies.
-	pool *pool
+	pool scenario.Pool
 }
 
 // scoped returns a copy of o restricted to the given grids, preserving
@@ -231,7 +229,7 @@ func Run(id string, opt Options) (*Report, error) {
 		return nil, err
 	}
 	if opt.pool == nil {
-		opt.pool = newPool(opt.Parallel)
+		opt.pool = scenario.NewPool(opt.Parallel)
 	}
 	art, err := e.run(opt)
 	if err != nil {
@@ -256,7 +254,7 @@ func Run(id string, opt Options) (*Report, error) {
 // run's output.
 func RunAll(ids []string, opt Options) ([]*Report, error) {
 	if opt.pool == nil {
-		opt.pool = newPool(opt.Parallel)
+		opt.pool = scenario.NewPool(opt.Parallel)
 	}
 	reports := make([]*Report, len(ids))
 	errs := make([]error, len(ids))
@@ -281,7 +279,7 @@ func RunAll(ids []string, opt Options) ([]*Report, error) {
 			failed.Store(true)
 		}
 	}
-	forEach(opt.pool, len(concurrent), func(k int) { run(concurrent[k]) })
+	opt.pool.ForEach(len(concurrent), func(k int) { run(concurrent[k]) })
 	for _, i := range alone {
 		run(i)
 	}
@@ -299,63 +297,25 @@ type env struct {
 	traces map[string]*carbon.Trace
 }
 
+// newEnv resolves the run's grids to their synthesized traces through
+// scenario.Sources, so built-in runners and compiled specs share one
+// cached trace per (grid, hours, seed).
 func newEnv(opt Options) *env {
 	opt = opt.withDefaults()
 	e := &env{opt: opt, traces: map[string]*carbon.Trace{}}
-	for i, spec := range carbon.Grids() {
-		for _, want := range opt.Grids {
-			if spec.Name == want {
-				e.traces[spec.Name] = cachedTrace(spec, opt.Hours, opt.Seed+int64(i)*1000003)
-			}
+	for _, g := range opt.Grids {
+		tr, err := scenario.Sources{}.Trace(scenario.ClusterSpec{Grid: g}, opt.Hours, scenario.GridSynthSeed(opt.Seed, g))
+		if err != nil {
+			panic(err) // validate rejects unknown grids before any runner starts
 		}
+		e.traces[g] = tr
 	}
 	return e
 }
 
-// trialTrace returns the trace window for one randomized trial: a
-// uniformly random start offset into the grid's three-year history, as
-// the prototype experiments do (§6.1). The offset is drawn from a
-// dedicated RNG seeded by the cell's identity, so the window depends only
-// on the cell — not on how many draws other cells made first — and
-// serial and parallel sweeps see identical windows. The cell seed is
-// domain-separated first because callers feed the same value to
-// workload.Batch; without separation the offset would be the first draw
-// of the very stream the job batch consumes.
-func (e *env) trialTrace(grid string, windowHours int, seed int64) *carbon.Trace {
-	tr := e.traces[grid]
-	maxStart := len(tr.Values) - windowHours
-	if maxStart < 1 {
-		return tr
-	}
-	rng := rand.New(rand.NewSource(cellSeed(seed, "trace-offset")))
-	off := float64(rng.Intn(maxStart)) * tr.Interval
-	return tr.Slice(off, float64(windowHours)*tr.Interval)
-}
-
-// simConfig is the Spark-standalone simulator environment (§5.2): all
-// executors shared, applications retain executors per Spark's dynamic
-// allocation semantics.
-func simConfig(tr *carbon.Trace, seed int64) sim.Config {
-	return sim.Config{
-		NumExecutors:  100,
-		Trace:         tr,
-		MoveDelay:     1,
-		HoldExecutors: true,
-		IdleTimeout:   60,
-		// The published tables were generated under the seed engine's
-		// per-task hold-expiry wake-up cadence, which deferring
-		// schedulers can observe; opt into it so every artifact stays
-		// byte-identical (sim.Config.LegacyHoldWakeups, DESIGN.md).
-		LegacyHoldWakeups: true,
-		Seed:              seed,
-	}
-}
-
-// protoConfig is the Kubernetes prototype environment (§6.3).
-func protoConfig(tr *carbon.Trace, seed int64) sim.Config {
-	cfg := cluster.PaperConfig()
-	cfg.Seed = seed
-	return cfg.SimConfig(tr)
+// trialTrace returns one randomized trial's window of the grid's trace.
+func (e *env) trialTrace(grid string, windowHours int, trialSeed int64) *carbon.Trace {
+	return scenario.TrialWindow(e.traces[grid], windowHours, trialSeed)
 }
 
 // batch draws a workload batch.
@@ -373,15 +333,6 @@ func mustRun(cfg sim.Config, jobs []*dag.Job, s sim.Scheduler) *sim.Result {
 	return res
 }
 
-// scenarioPool adapts the experiment engine's shared-budget worker pool
-// to the scenario layer's Pool interface, so a built-in artifact
-// declared as a scenario spec draws its cell workers from the same
-// process-wide budget as every other runner.
-type scenarioPool struct{ p *pool }
-
-// ForEach implements scenario.Pool.
-func (a scenarioPool) ForEach(n int, fn func(i int)) { forEach(a.p, n, fn) }
-
 // runSpec compiles and executes a scenario spec under the run's
 // options. The sweeps, per-grid, and federation runner families declare
 // their experiments as specs and execute through this one path — the
@@ -393,5 +344,5 @@ func runSpec(opt Options, spec scenario.Spec) (*result.Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	return prog.Run(scenario.Env{Pool: scenarioPool{opt.pool}, Fast: opt.Fast})
+	return prog.Run(scenario.Env{Pool: opt.pool, Fast: opt.Fast})
 }

@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
+
+	"pcaps/internal/carbon"
+	"pcaps/internal/scenario"
+	"pcaps/internal/seed"
 )
 
 func fastOpt() Options { return Options{Fast: true, Seed: 42} }
@@ -112,13 +113,14 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestTrialTraceWindows(t *testing.T) {
 	e := newEnv(Options{Fast: true, Seed: 3})
-	tr := e.trialTrace("DE", 100, cellSeed(3, "DE", 0))
+	de := e.traces["DE"]
+	tr := scenario.TrialWindow(de, 100, seed.Derive(3, "DE", 0))
 	if len(tr.Values) != 100 {
 		t.Fatalf("window = %d samples", len(tr.Values))
 	}
 	// Different cells land at different offsets (with high probability).
-	a := e.trialTrace("DE", 100, cellSeed(3, "DE", 1))
-	b := e.trialTrace("DE", 100, cellSeed(3, "DE", 2))
+	a := scenario.TrialWindow(de, 100, seed.Derive(3, "DE", 1))
+	b := scenario.TrialWindow(de, 100, seed.Derive(3, "DE", 2))
 	same := true
 	for i := range a.Values {
 		if a.Values[i] != b.Values[i] {
@@ -131,10 +133,32 @@ func TestTrialTraceWindows(t *testing.T) {
 	}
 	// The same cell always sees the same window, no matter how many other
 	// draws happened in between — the property parallel execution needs.
-	c := e.trialTrace("DE", 100, cellSeed(3, "DE", 1))
+	c := scenario.TrialWindow(de, 100, seed.Derive(3, "DE", 1))
 	for i := range a.Values {
 		if a.Values[i] != c.Values[i] {
 			t.Fatal("same cell produced different windows")
+		}
+	}
+}
+
+// TestEnvSharesScenarioTraces: an experiments env and a compiled
+// scenario resolve a grid at the same run seed and horizon to the very
+// same cached trace (the run seed offset by the grid's Table 1 index),
+// so a full reproduction holds each paper-length trace once.
+func TestEnvSharesScenarioTraces(t *testing.T) {
+	const runSeed, hours = 17, 500
+	var grids []string
+	for _, spec := range carbon.Grids() {
+		grids = append(grids, spec.Name)
+	}
+	e := newEnv(Options{Grids: grids, Seed: runSeed, Hours: hours})
+	for i, g := range grids {
+		want, err := scenario.Sources{}.Trace(scenario.ClusterSpec{Grid: g}, hours, runSeed+int64(i)*1000003)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.traces[g]; got != want {
+			t.Fatalf("%s: env trace %p is not the scenario trace %p", g, got, want)
 		}
 	}
 }
@@ -206,72 +230,6 @@ func TestRunAllOrderAndErrors(t *testing.T) {
 	}
 }
 
-func TestForEachCoversAllCellsOnce(t *testing.T) {
-	for _, parallel := range []int{1, 3, 16} {
-		const n = 100
-		counts := make([]int32, n)
-		var mu sync.Mutex
-		forEach(newPool(parallel), n, func(i int) { mu.Lock(); counts[i]++; mu.Unlock() })
-		for i, c := range counts {
-			if c != 1 {
-				t.Fatalf("parallel=%d: cell %d ran %d times", parallel, i, c)
-			}
-		}
-	}
-	forEach(newPool(4), 0, func(int) { t.Fatal("fn called for n=0") })
-	// A nil pool degenerates to a serial loop.
-	ran := 0
-	forEach(nil, 3, func(int) { ran++ })
-	if ran != 3 {
-		t.Fatalf("nil pool ran %d of 3 cells", ran)
-	}
-}
-
-// TestForEachSharedBudget pins the Options.Parallel contract: nested
-// fan-outs draw extra workers from one pool, so total concurrency stays
-// within the requested bound instead of multiplying per level.
-func TestForEachSharedBudget(t *testing.T) {
-	p := newPool(3)
-	var cur, peak atomic.Int64
-	var inner func(depth int)
-	inner = func(depth int) {
-		forEach(p, 4, func(int) {
-			if depth > 0 {
-				inner(depth - 1)
-				return
-			}
-			// Only leaf cells count: an ancestor frame is blocked in the
-			// recursive call, so each goroutine contributes at most one.
-			c := cur.Add(1)
-			for {
-				old := peak.Load()
-				if c <= old || peak.CompareAndSwap(old, c) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			cur.Add(-1)
-		})
-	}
-	inner(2)
-	if got := peak.Load(); got > 3 {
-		t.Fatalf("peak concurrency %d exceeds the requested bound of 3", got)
-	}
-}
-
-func TestForEachPropagatesPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("worker panic did not propagate")
-		}
-	}()
-	forEach(newPool(4), 8, func(i int) {
-		if i == 3 {
-			panic("boom")
-		}
-	})
-}
-
 func TestRunRejectsUnknownGrid(t *testing.T) {
 	_, err := Run("table2", Options{Fast: true, Seed: 42, Grids: []string{"BOGUS"}})
 	if err == nil || !strings.Contains(err.Error(), `unknown grid "BOGUS"`) {
@@ -317,12 +275,14 @@ func TestListCarriesTitles(t *testing.T) {
 	}
 }
 
+// TestCellSeedDistinguishesCoordinates: the runners' cell coordinates
+// (grid, batch size, trial) hash to distinct, non-negative seeds.
 func TestCellSeedDistinguishesCoordinates(t *testing.T) {
 	seen := map[int64]string{}
 	for _, grid := range []string{"DE", "CAISO"} {
 		for size := int64(0); size < 4; size++ {
 			for trial := int64(0); trial < 4; trial++ {
-				s := cellSeed(42, grid, size, trial)
+				s := seed.Derive(42, grid, size, trial)
 				if s < 0 {
 					t.Fatalf("negative seed %d", s)
 				}
@@ -334,7 +294,7 @@ func TestCellSeedDistinguishesCoordinates(t *testing.T) {
 			}
 		}
 	}
-	if cellSeed(1, "DE", 2) == cellSeed(2, "DE", 1) {
+	if seed.Derive(1, "DE", 2) == seed.Derive(2, "DE", 1) {
 		t.Fatal("base seed and coordinate are interchangeable")
 	}
 }

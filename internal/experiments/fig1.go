@@ -195,7 +195,7 @@ func fig1(opt Options) (*result.Artifact, error) {
 	}
 	scheds := make([]*optimal.Schedule, len(solvers))
 	errs := make([]error, len(solvers))
-	forEach(opt.pool, len(solvers), func(i int) {
+	opt.pool.ForEach(len(solvers), func(i int) {
 		local := inst
 		local.Job = inst.Job.Clone()
 		scheds[i], errs[i] = solvers[i](local)

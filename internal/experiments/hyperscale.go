@@ -6,6 +6,7 @@ import (
 	"pcaps/internal/arrivals"
 	"pcaps/internal/result"
 	"pcaps/internal/sched"
+	"pcaps/internal/seed"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
 )
@@ -90,10 +91,10 @@ func runHyperscale(opt Options) (*result.Artifact, error) {
 		events int
 	}
 	runs := make([]runOut, len(cells)*len(policyNames))
-	forEach(e.opt.pool, len(runs), func(i int) {
+	e.opt.pool.ForEach(len(runs), func(i int) {
 		ci, pi := i/len(policyNames), i%len(policyNames)
 		cell := cells[ci]
-		seed := cellSeed(e.opt.Seed, "DE", int64(cell.jobs), int64(cell.execs))
+		seed := seed.Derive(e.opt.Seed, "DE", int64(cell.jobs), int64(cell.execs))
 		rps := hyperscaleRho * float64(cell.execs) / hyperscaleMeanWork
 		// Window the trace to the expected span; past its end the
 		// intensity holds at the final sample (carbon.Trace.At clamps).

@@ -7,7 +7,9 @@ import (
 	"pcaps/internal/dag"
 	"pcaps/internal/metrics"
 	"pcaps/internal/result"
+	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
+	"pcaps/internal/seed"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
 )
@@ -27,10 +29,7 @@ func fig5(opt Options) (*result.Artifact, error) {
 	a := result.New()
 	const hours = 48
 	for _, name := range e.opt.Grids {
-		tr, ok := e.traces[name]
-		if !ok {
-			continue
-		}
+		tr := e.traces[name]
 		// A mid-January window: day 14 of the trace year.
 		win := tr.Slice(14*24*tr.Interval, hours*tr.Interval)
 		s := &result.Series{
@@ -105,7 +104,7 @@ func fig6(opt Options) (*result.Artifact, error) {
 	tr := e.traces["DE"].Slice(0, 200*60)
 	seed := e.opt.Seed
 	jobs := batch(20, 30, workload.MixTPCH, seed)
-	cfg := simConfig(tr, seed)
+	cfg := scenario.StandaloneConfig(tr, seed)
 	cfg.NumExecutors = 5
 	cfg.TrackJobUsage = true
 	const hours = 40 // the experiment's visible window (paper shows 15)
@@ -118,7 +117,7 @@ func fig6(opt Options) (*result.Artifact, error) {
 		{"CAP-FIFO", sched.NewCAP(&sched.FIFO{}, 1)},
 	}
 	results := make([]*sim.Result, len(policies))
-	forEach(e.opt.pool, len(policies), func(i int) {
+	e.opt.pool.ForEach(len(policies), func(i int) {
 		results[i] = mustRun(cfg, jobs, policies[i].s)
 	})
 	t := &result.Table{
@@ -182,12 +181,12 @@ func fig9(opt Options) (*result.Artifact, error) {
 	}
 	type scatterRuns struct{ base, pc, cp *sim.Result }
 	runs := make([]scatterRuns, len(cells))
-	forEach(e.opt.pool, len(cells), func(i int) {
+	e.opt.pool.ForEach(len(cells), func(i int) {
 		c := cells[i]
-		seed := cellSeed(e.opt.Seed, c.grid, int64(c.trial))
+		seed := seed.Derive(e.opt.Seed, c.grid, int64(c.trial))
 		jobs := batch(n, 30, workload.MixBoth, seed)
 		tr := e.trialTrace(c.grid, 60+n, seed)
-		cfg := protoConfig(tr, seed)
+		cfg := scenario.PrototypeConfig(tr, seed)
 		runs[i] = scatterRuns{
 			base: mustRun(cfg, jobs, sched.NewKubeDefault()),
 			cp:   mustRun(cfg, jobs, sched.NewCAP(sched.NewKubeDefault(), 20)),
@@ -296,11 +295,11 @@ func fig15(opt Options) (*result.Artifact, error) {
 	// The simulator and prototype runs are independent; run the pair
 	// concurrently.
 	pair := make([]*sim.Result, 2)
-	forEach(e.opt.pool, 2, func(i int) {
+	e.opt.pool.ForEach(2, func(i int) {
 		if i == 0 {
-			pair[0] = mustRun(simConfig(tr, seed), jobs, &sched.FIFO{})
+			pair[0] = mustRun(scenario.StandaloneConfig(tr, seed), jobs, &sched.FIFO{})
 		} else {
-			pair[1] = mustRun(protoConfig(tr, seed), jobs, sched.NewKubeDefault())
+			pair[1] = mustRun(scenario.PrototypeConfig(tr, seed), jobs, sched.NewKubeDefault())
 		}
 	})
 	fifo, proto := pair[0], pair[1]

@@ -6,7 +6,9 @@ import (
 	"pcaps/internal/arrivals"
 	"pcaps/internal/metrics"
 	"pcaps/internal/result"
+	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
+	"pcaps/internal/seed"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
 )
@@ -102,9 +104,9 @@ func runOverload(opt Options) (*result.Artifact, error) {
 		carbon []float64
 	}
 	runs := make([]cellOut, len(cells))
-	forEach(e.opt.pool, len(cells), func(i int) {
+	e.opt.pool.ForEach(len(cells), func(i int) {
 		c := cells[i]
-		seed := cellSeed(e.opt.Seed, "DE", int64(c.shape), int64(c.trial))
+		seed := seed.Derive(e.opt.Seed, "DE", int64(c.shape), int64(c.trial))
 		jobs, err := workload.Generate(workload.GenConfig{
 			N: n, Arrivals: procs[c.shape], Mix: workload.MixBoth, Seed: seed,
 		})
@@ -118,7 +120,7 @@ func runOverload(opt Options) (*result.Artifact, error) {
 			cps[k] = j.CriticalPathLength()
 		}
 		tr := e.trialTrace("DE", 60+n, seed)
-		cfg := simConfig(tr, seed)
+		cfg := scenario.StandaloneConfig(tr, seed)
 		scheds := newScheds(seed)
 		out := cellOut{
 			open:   make([]metrics.OpenLoop, len(scheds)),

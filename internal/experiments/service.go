@@ -14,10 +14,10 @@ import (
 // surface is a smoke-and-inspection endpoint, not a batch farm; the full
 // matrices stay behind pcapsim.
 //
-// Service is safe for concurrent use: each Run builds its own worker
-// pool, every stochastic choice is derived from per-cell seed hashing,
-// and the shared trace cache is read-only after construction — the same
-// properties the parallel experiment engine already relies on.
+// Service is safe for concurrent use: each Run builds its own
+// scenario.NewPool, every stochastic choice is derived from per-cell seed
+// hashing, and the traces it shares with scenario runs through
+// scenario.Sources are read-only after construction.
 //
 // Because a run is a pure function of (id, Options) and Options is fixed
 // for the Service's lifetime, completed artifacts are cached per ID with

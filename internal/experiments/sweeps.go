@@ -6,6 +6,7 @@ import (
 	"pcaps/internal/result"
 	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
+	"pcaps/internal/seed"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
 )
@@ -134,11 +135,11 @@ func fig13(opt Options) (*result.Artifact, error) {
 	states := make([]trialState, trials)
 	perTrial := len(gammas) + len(bs)
 	runs := make([]*sim.Result, trials*perTrial)
-	forEach(opt.pool, trials, func(t int) {
-		seed := cellSeed(opt.Seed, "DE", int64(t))
+	opt.pool.ForEach(trials, func(t int) {
+		seed := seed.Derive(opt.Seed, "DE", int64(t))
 		jobs := batch(n, 30, workload.MixTPCH, seed)
 		tr := e.trialTrace("DE", 60+n, seed)
-		cfg := simConfig(tr, seed)
+		cfg := scenario.StandaloneConfig(tr, seed)
 		states[t] = trialState{jobs: jobs, cfg: cfg, base: mustRun(cfg, jobs, sched.NewDecima(seed))}
 		out := runs[t*perTrial : (t+1)*perTrial]
 		for i, g := range gammas {

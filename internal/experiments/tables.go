@@ -3,7 +3,9 @@ package experiments
 import (
 	"pcaps/internal/metrics"
 	"pcaps/internal/result"
+	"pcaps/internal/scenario"
 	"pcaps/internal/sched"
+	"pcaps/internal/seed"
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
 )
@@ -44,10 +46,7 @@ func table1(opt Options) (*result.Artifact, error) {
 		},
 	}
 	for _, name := range e.opt.Grids {
-		tr, ok := e.traces[name]
-		if !ok {
-			continue
-		}
+		tr := e.traces[name]
 		s := tr.Stats()
 		p := paperTable1[name]
 		t.Row(result.Str(name),
@@ -129,9 +128,9 @@ func tableMatrix(e *env, sizes []int, trials int, names []string,
 	run func(c matrixCell, seed int64) map[string]*sim.Result) map[string]*normTriple {
 	cells := matrixCells(e.opt.Grids, sizes, trials)
 	runs := make([]map[string]*sim.Result, len(cells))
-	forEach(e.opt.pool, len(cells), func(i int) {
+	e.opt.pool.ForEach(len(cells), func(i int) {
 		c := cells[i]
-		runs[i] = run(c, cellSeed(e.opt.Seed, c.grid, int64(c.size), int64(c.trial)))
+		runs[i] = run(c, seed.Derive(e.opt.Seed, c.grid, int64(c.size), int64(c.trial)))
 	})
 	aggs := map[string]*normTriple{}
 	for _, n := range names {
@@ -175,7 +174,7 @@ func table2(opt Options) (*result.Artifact, error) {
 		jobs := batch(c.size, 30, workload.MixBoth, seed)
 		window := 60 + c.size // hours: generous for the batch
 		tr := e.trialTrace(c.grid, window, seed)
-		cfg := protoConfig(tr, seed)
+		cfg := scenario.PrototypeConfig(tr, seed)
 		return map[string]*sim.Result{
 			"default": mustRun(cfg, jobs, sched.NewKubeDefault()),
 			"CAP":     mustRun(cfg, jobs, sched.NewCAP(sched.NewKubeDefault(), 20)),
@@ -203,7 +202,7 @@ func table3(opt Options) (*result.Artifact, error) {
 	aggs := tableMatrix(e, sizes, trials, names, func(c matrixCell, seed int64) map[string]*sim.Result {
 		jobs := batch(c.size, 30, workload.MixTPCH, seed)
 		tr := e.trialTrace(c.grid, 60+c.size, seed)
-		cfg := simConfig(tr, seed)
+		cfg := scenario.StandaloneConfig(tr, seed)
 		return map[string]*sim.Result{
 			"FIFO":        mustRun(cfg, jobs, &sched.FIFO{}),
 			"CAP-FIFO":    mustRun(cfg, jobs, sched.NewCAP(&sched.FIFO{}, 20)),

@@ -268,7 +268,7 @@ func (r *runEnv) resolveMembers() ([]member, error) {
 			if name == "" {
 				name = c.Grid
 			}
-			tr, err := r.traces.Trace(c, r.hours, synthSeedFor(r.seed, c.Grid))
+			tr, err := r.traces.Trace(c, r.hours, GridSynthSeed(r.seed, c.Grid))
 			if err != nil {
 				return nil, err
 			}
@@ -290,7 +290,7 @@ func (r *runEnv) resolveMembers() ([]member, error) {
 func (r *runEnv) gridMembers(grids []string) ([]member, error) {
 	out := make([]member, len(grids))
 	for i, g := range grids {
-		tr, err := r.traces.Trace(ClusterSpec{Grid: g}, r.hours, synthSeedFor(r.seed, g))
+		tr, err := r.traces.Trace(ClusterSpec{Grid: g}, r.hours, GridSynthSeed(r.seed, g))
 		if err != nil {
 			return nil, err
 		}
@@ -299,27 +299,39 @@ func (r *runEnv) gridMembers(grids []string) ([]member, error) {
 	return out, nil
 }
 
+// StandaloneConfig is the Spark-standalone simulator environment (§5.2):
+// 100 executors all shared, applications retain executors per Spark's
+// dynamic allocation semantics.
+func StandaloneConfig(tr *carbon.Trace, seed int64) sim.Config {
+	return sim.Config{
+		NumExecutors:  100,
+		Trace:         tr,
+		MoveDelay:     1,
+		HoldExecutors: true,
+		IdleTimeout:   60,
+		// The published tables were generated under the seed engine's
+		// per-task hold-expiry wake-up cadence, which deferring
+		// schedulers can observe; opt into it so every artifact stays
+		// byte-identical (sim.Config.LegacyHoldWakeups, DESIGN.md).
+		LegacyHoldWakeups: true,
+		Seed:              seed,
+	}
+}
+
+// PrototypeConfig is the Kubernetes prototype environment (§6.3).
+func PrototypeConfig(tr *carbon.Trace, seed int64) sim.Config {
+	c := cluster.PaperConfig()
+	c.Seed = seed
+	return c.SimConfig(tr)
+}
+
 // baseConfig builds one member simulation's engine configuration: the
-// Spark-standalone simulator environment (§5.2) or the Kubernetes
-// prototype (§6.3), with the spec's engine overrides applied. The
-// defaults reproduce the experiment engine's simConfig/protoConfig
-// byte-for-byte, LegacyHoldWakeups included (DESIGN.md).
-func (r *runEnv) baseConfig(tr *carbon.Trace, cellSeed int64, m member) sim.Config {
-	var cfg sim.Config
+// standalone or prototype environment the experiments runners use, with
+// the spec's engine overrides applied.
+func (r *runEnv) baseConfig(tr *carbon.Trace, trialSeed int64, m member) sim.Config {
+	cfg := StandaloneConfig(tr, trialSeed)
 	if r.spec.Proto {
-		c := cluster.PaperConfig()
-		c.Seed = cellSeed
-		cfg = c.SimConfig(tr)
-	} else {
-		cfg = sim.Config{
-			NumExecutors:      100,
-			Trace:             tr,
-			MoveDelay:         1,
-			HoldExecutors:     true,
-			IdleTimeout:       60,
-			LegacyHoldWakeups: true,
-			Seed:              cellSeed,
-		}
+		cfg = PrototypeConfig(tr, trialSeed)
 	}
 	if e := r.spec.Engine; e != nil {
 		if e.Executors > 0 {
@@ -457,9 +469,9 @@ func (r *runEnv) runComparison() (*result.Artifact, error) {
 	r.pool.ForEach(len(cells), func(i int) {
 		c := cells[i]
 		m := members[c.member]
-		cellSeed := seed.Derive(r.seed, m.key, int64(c.size), int64(c.trial))
-		tr := trialWindow(m.trace, 60+c.size, cellSeed)
-		cfg := r.baseConfig(tr, cellSeed, m)
+		trialSeed := seed.Derive(r.seed, m.key, int64(c.size), int64(c.trial))
+		tr := TrialWindow(m.trace, 60+c.size, trialSeed)
+		cfg := r.baseConfig(tr, trialSeed, m)
 		if r.streaming() {
 			// Hyperscale mode: each policy drains a fresh copy of the
 			// same seeded job stream through the memory-bounded engine.
@@ -467,18 +479,18 @@ func (r *runEnv) runComparison() (*result.Artifact, error) {
 			// equivalence contract, DESIGN.md §10); the comparison reads
 			// only CarbonGrams and ECT, which need no per-job slices.
 			out := map[string]*sim.Result{
-				"": mustRunStream(cfg, r.source(c.size, cellSeed), baseline(cellSeed)),
+				"": mustRunStream(cfg, r.source(c.size, trialSeed), baseline(trialSeed)),
 			}
 			for _, name := range names {
-				out[name] = mustRunStream(cfg, r.source(c.size, cellSeed), factories[name](cellSeed))
+				out[name] = mustRunStream(cfg, r.source(c.size, trialSeed), factories[name](trialSeed))
 			}
 			runs[i] = out
 			return
 		}
-		jobs := r.batch(c.size, cellSeed)
-		out := map[string]*sim.Result{"": mustRun(cfg, jobs, baseline(cellSeed))}
+		jobs := r.batch(c.size, trialSeed)
+		out := map[string]*sim.Result{"": mustRun(cfg, jobs, baseline(trialSeed))}
 		for _, name := range names {
-			out[name] = mustRun(cfg, jobs, factories[name](cellSeed))
+			out[name] = mustRun(cfg, jobs, factories[name](trialSeed))
 		}
 		runs[i] = out
 	})
@@ -670,14 +682,14 @@ func (r *runEnv) runSweep() (*result.Artifact, error) {
 	states := make([]sweepState, trials)
 	runs := make([][]*sim.Result, trials)
 	r.pool.ForEach(trials, func(t int) {
-		cellSeed := seed.Derive(r.seed, m.key, int64(t))
-		jobs := r.batch(n, cellSeed)
-		tr := trialWindow(m.trace, 60+n, cellSeed)
-		cfg := r.baseConfig(tr, cellSeed, m)
-		states[t] = sweepState{jobs: jobs, cfg: cfg, base: mustRun(cfg, jobs, baseline(cellSeed))}
+		trialSeed := seed.Derive(r.seed, m.key, int64(t))
+		jobs := r.batch(n, trialSeed)
+		tr := TrialWindow(m.trace, 60+n, trialSeed)
+		cfg := r.baseConfig(tr, trialSeed, m)
+		states[t] = sweepState{jobs: jobs, cfg: cfg, base: mustRun(cfg, jobs, baseline(trialSeed))}
 		runs[t] = make([]*sim.Result, len(values))
 		for i := range values {
-			runs[t][i] = mustRun(cfg, jobs, aware[i](cellSeed))
+			runs[t][i] = mustRun(cfg, jobs, aware[i](trialSeed))
 		}
 	})
 	for t := 0; t < trials; t++ {
@@ -826,11 +838,11 @@ func (r *runEnv) runFederation() (*result.Artifact, error) {
 	r.pool.ForEach(len(cells), func(i int) {
 		c := cells[i]
 		members := topologies[c.topo]
-		cellSeed := seed.Derive(r.seed, topoKey(members), int64(c.trial))
-		jobs := r.batch(njobs, cellSeed)
+		trialSeed := seed.Derive(r.seed, topoKey(members), int64(c.trial))
+		jobs := r.batch(njobs, trialSeed)
 		windows := make([]*carbon.Trace, len(members))
 		for mi, m := range members {
-			windows[mi] = trialWindow(m.trace, window, seed.Derive(cellSeed, m.key))
+			windows[mi] = TrialWindow(m.trace, window, seed.Derive(trialSeed, m.key))
 		}
 		variants, err := variantsFor(members)
 		if err != nil {
@@ -850,11 +862,11 @@ func (r *runEnv) runFederation() (*result.Artifact, error) {
 					Name:         fmt.Sprintf("%s-%d", m.key, ci),
 					Grid:         m.grid,
 					Trace:        tr,
-					Config:       r.baseConfig(tr, cellSeed, m),
+					Config:       r.baseConfig(tr, trialSeed, m),
 					NewScheduler: v.sched,
 				}
 			}
-			fedRun := &fed.Federation{Clusters: clusters, Router: v.router(), Seed: cellSeed}
+			fedRun := &fed.Federation{Clusters: clusters, Router: v.router(), Seed: trialSeed}
 			res, err := fedRun.Run(jobs)
 			if err != nil {
 				panic(simError{fmt.Errorf("scenario: federation %s: %w", v.name, err)})

@@ -21,9 +21,10 @@ import (
 // and return only when all calls finish; implementations may run them
 // in any order and with any concurrency, because every cell derives its
 // randomness from its own identity (seed.Derive), never from execution
-// order. internal/experiments adapts its shared-budget pool to this
-// interface so built-in artifacts and nested scenario cells draw from
-// one process-wide worker budget.
+// order. internal/experiments runs its hand-written runners on a NewPool
+// too and hands the same pool to the specs it compiles, so built-in
+// artifacts and nested scenario cells draw from one process-wide worker
+// budget.
 type Pool interface {
 	ForEach(n int, fn func(i int))
 }
@@ -37,17 +38,17 @@ func (serialPool) ForEach(n int, fn func(i int)) {
 	}
 }
 
-// tokenPool is a standalone worker pool with the same contract as the
-// experiment engine's: the caller always works, extras are spawned only
-// while permits are free (non-blocking, so nested fan-outs degrade to
-// serial instead of deadlocking), and a worker panic stops dispatch and
-// re-raises in the caller.
+// tokenPool is the shared-budget worker pool: the caller always works,
+// extras are spawned only while permits are free (non-blocking, so nested
+// fan-outs degrade to serial instead of deadlocking), and a worker panic
+// stops dispatch and re-raises in the caller once in-flight workers drain.
 type tokenPool struct {
 	tokens chan struct{}
 }
 
 // NewPool returns a Pool bounded to the given parallelism: 0 selects
-// GOMAXPROCS, 1 forces the serial path.
+// GOMAXPROCS, 1 forces the serial path. Nested ForEach calls share the
+// one budget, so the bound caps the whole run.
 func NewPool(parallel int) Pool {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
@@ -118,7 +119,7 @@ type TraceProvider interface {
 }
 
 // Sources is the default TraceProvider: calibrated synthesis (cached,
-// like the experiment engine's trace cache), CSV files, and live
+// and shared with the experiments runners), CSV files, and live
 // carbonapi fetches.
 type Sources struct {
 	// FetchTimeout bounds one carbonapi fetch (0: 30 s — a full
@@ -137,12 +138,14 @@ type synthEntry struct {
 	tr   *carbon.Trace
 }
 
-// synthCache shares synthesized traces across scenario runs; traces are
-// read-only after construction, so concurrent reuse is safe. Entries
-// are capped: a long-lived server answering specs with ever-new
-// (seed, hours) pairs must not accumulate traces forever, so past the
-// cap new keys synthesize uncached (correctness is unaffected — the
-// cache is purely a de-duplication of pure-function results).
+// synthCache shares synthesized traces across scenario runs and the
+// experiments runners' envs; traces are read-only after construction
+// (every accessor is a pure lookup and Slice returns views), so
+// concurrent reuse is safe. Entries are capped: a long-lived server
+// answering specs with ever-new (seed, hours) pairs must not accumulate
+// traces forever, so past the cap new keys synthesize uncached
+// (correctness is unaffected — the cache is purely a de-duplication of
+// pure-function results).
 var (
 	synthCache      sync.Map // synthKey → *synthEntry
 	synthCacheCount atomic.Int64
@@ -161,17 +164,14 @@ func (s Sources) Trace(c ClusterSpec, hours int, synthSeed int64) (*carbon.Trace
 			return nil, err
 		}
 		key := synthKey{grid: c.Grid, hours: hours, seed: synthSeed}
-		if v, ok := synthCache.Load(key); ok {
-			e := v.(*synthEntry)
-			e.once.Do(func() { e.tr = carbon.Synthesize(spec, hours, 60, synthSeed) })
-			return e.tr, nil
-		}
-		if synthCacheCount.Load() >= maxSynthCacheEntries {
-			return carbon.Synthesize(spec, hours, 60, synthSeed), nil
-		}
-		v, loaded := synthCache.LoadOrStore(key, &synthEntry{})
-		if !loaded {
-			synthCacheCount.Add(1)
+		v, ok := synthCache.Load(key)
+		if !ok {
+			if synthCacheCount.Load() >= maxSynthCacheEntries {
+				return carbon.Synthesize(spec, hours, 60, synthSeed), nil
+			}
+			if v, ok = synthCache.LoadOrStore(key, &synthEntry{}); !ok {
+				synthCacheCount.Add(1)
+			}
 		}
 		e := v.(*synthEntry)
 		e.once.Do(func() { e.tr = carbon.Synthesize(spec, hours, 60, synthSeed) })
@@ -205,25 +205,29 @@ func (s Sources) Trace(c ClusterSpec, hours int, synthSeed int64) (*carbon.Trace
 	}
 }
 
-// trialWindow replays the experiment engine's randomized trial windows
-// byte-for-byte: a uniformly random start offset into the trace drawn
-// from an RNG seeded by the cell's identity (domain-separated from the
-// job batch, which consumes the undecorated cell seed).
-func trialWindow(tr *carbon.Trace, windowHours int, cellSeed int64) *carbon.Trace {
+// TrialWindow returns the trace window of one randomized trial: a
+// uniformly random start offset into the trace's history, as the
+// prototype experiments do (§6.1). The offset is drawn from an RNG seeded
+// by the trial's identity, so the window depends only on the trial, not
+// on how many draws other trials made first, and serial and parallel
+// runs see identical windows. The seed is domain-separated first because
+// callers feed the same value to the job batch; without separation the
+// offset would be the first draw of the very stream the batch consumes.
+func TrialWindow(tr *carbon.Trace, windowHours int, trialSeed int64) *carbon.Trace {
 	maxStart := len(tr.Values) - windowHours
 	if maxStart < 1 {
 		return tr
 	}
-	rng := rand.New(rand.NewSource(seed.Derive(cellSeed, "trace-offset")))
+	rng := rand.New(rand.NewSource(seed.Derive(trialSeed, "trace-offset")))
 	off := float64(rng.Intn(maxStart)) * tr.Interval
 	return tr.Slice(off, float64(windowHours)*tr.Interval)
 }
 
-// synthSeedFor derives the synthesis seed of one grid the way the
-// experiment engine's env does: the run seed offset by the grid's index
-// in the canonical Table 1 order, so a scenario and a built-in artifact
-// replaying the same grid at the same seed see identical intensities.
-func synthSeedFor(runSeed int64, grid string) int64 {
+// GridSynthSeed derives the synthesis seed of one grid: the run seed
+// offset by the grid's index in the canonical Table 1 order, so every
+// artifact and scenario replaying the same grid at the same seed shares
+// one cached trace.
+func GridSynthSeed(runSeed int64, grid string) int64 {
 	for i, spec := range carbon.Grids() {
 		if spec.Name == grid {
 			return runSeed + int64(i)*1000003

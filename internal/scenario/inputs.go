@@ -149,7 +149,7 @@ func (p *Program) Inputs(env Env) (out *Inputs, err error) {
 	for _, m := range members {
 		out.Clusters = append(out.Clusters, ResolvedCluster{
 			Name: m.key, Grid: m.grid, Trace: m.trace,
-			SynthSeed: synthSeedFor(r.seed, m.grid),
+			SynthSeed: GridSynthSeed(r.seed, m.grid),
 		})
 	}
 	return out, nil
