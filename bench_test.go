@@ -204,21 +204,34 @@ func BenchmarkOverloadLoop(b *testing.B) {
 // tracks the in-flight population, not the job count; see
 // hyperscaleStreamPeak in scale_test.go for the sampling harness). The
 // Smoke variant is small enough for the raced 1-iteration CI pass; the
-// 1M cell is the headline BENCH number.
+// 1M cell is the headline BENCH number. The unnamed cells run FIFO; the
+// PCAPS cells run the paper's scheduler over Decima on the same stream.
 
-func benchHyperscaleStream(b *testing.B, jobs, execs int) {
+func benchHyperscaleStream(b *testing.B, jobs, execs int, newSched func() sim.Scheduler) {
 	b.ReportAllocs()
 	var peak float64
 	for i := 0; i < b.N; i++ {
-		peak = hyperscaleStreamPeak(b, jobs, execs, &sched.FIFO{})
+		peak = hyperscaleStreamPeak(b, jobs, execs, newSched())
 	}
 	b.ReportMetric(float64(jobs)*float64(b.N)/b.Elapsed().Seconds(), "jobs/sec")
 	b.ReportMetric(peak, "peak_heap_mb")
 }
 
-func BenchmarkHyperscaleStreamSmoke(b *testing.B) { benchHyperscaleStream(b, 2_000, 200) }
-func BenchmarkHyperscaleStream100k(b *testing.B)  { benchHyperscaleStream(b, 100_000, 1000) }
-func BenchmarkHyperscaleStream1M(b *testing.B)    { benchHyperscaleStream(b, 1_000_000, 1000) }
+func newFIFO() sim.Scheduler { return &sched.FIFO{} }
+
+func newPCAPS() sim.Scheduler {
+	return sched.NewPCAPS(sched.NewDecima(42), sched.DefaultPCAPSGamma, 42)
+}
+
+func BenchmarkHyperscaleStreamSmoke(b *testing.B) { benchHyperscaleStream(b, 2_000, 200, newFIFO) }
+func BenchmarkHyperscaleStream100k(b *testing.B)  { benchHyperscaleStream(b, 100_000, 1000, newFIFO) }
+func BenchmarkHyperscaleStream1M(b *testing.B)    { benchHyperscaleStream(b, 1_000_000, 1000, newFIFO) }
+func BenchmarkHyperscaleStreamPCAPS20k(b *testing.B) {
+	benchHyperscaleStream(b, 20_000, 1000, newPCAPS)
+}
+func BenchmarkHyperscaleStreamPCAPS100k(b *testing.B) {
+	benchHyperscaleStream(b, 100_000, 1000, newPCAPS)
+}
 
 // Scheduling-loop microbenchmarks: unlike the artifact benchmarks above,
 // these time the simulator's hot path directly — many small stages, high
@@ -345,8 +358,8 @@ func pickFixture(b *testing.B, n int) *sim.Snapshot {
 
 // BenchmarkDecimaPick times one steady-state Decima Pick (the L1 figure)
 // on a restored cluster with 10, 100 and 1000 runnable jobs. The cluster
-// does not change between Picks, so every memo on the run records hits:
-// this is the per-ref walk over the runnable view that remains.
+// does not change between Picks, so no job's part of the distribution is
+// recomputed: this is the stamp check over the active jobs and the draw.
 func BenchmarkDecimaPick(b *testing.B) {
 	for _, n := range []int{10, 100, 1000} {
 		b.Run(strconv.Itoa(n), func(b *testing.B) {
@@ -364,6 +377,63 @@ func BenchmarkDecimaPick(b *testing.B) {
 			b.ReportMetric(float64(len(c.Runnable())), "refs")
 		})
 	}
+}
+
+// BenchmarkDecimaPickChurn is BenchmarkDecimaPick on a cluster that
+// changes under every Pick, as in the event loop: each picked stage is
+// assigned one executor, so one job moves per Pick. The fixture's
+// executors are all busy, so the churn starts from a copy with every
+// task put back undispatched and 2n idle executors; it is restored,
+// untimed, whenever a Pick defers or its stage takes no executor.
+func BenchmarkDecimaPickChurn(b *testing.B) {
+	for _, n := range []int{10, 100, 1000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			snap := idleFixture(pickFixture(b, n), 2*n)
+			c, err := snap.Restore()
+			if err != nil {
+				b.Fatal(err)
+			}
+			d := sched.NewDecima(1)
+			picks := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dec := d.Pick(c)
+				dec.MaxNew = 1
+				if c.Assign(dec) == 1 {
+					picks++
+					continue
+				}
+				b.StopTimer()
+				if c, err = snap.Restore(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(picks)/float64(b.N), "assigned/op")
+		})
+	}
+}
+
+// idleFixture returns a copy of snap in which no task runs: each
+// running task is put back undispatched, and the cluster has k executors,
+// all idle.
+func idleFixture(snap *sim.Snapshot, k int) *sim.Snapshot {
+	idle := *snap
+	idle.Jobs = make([]sim.JobSnapshot, len(snap.Jobs))
+	for i, js := range snap.Jobs {
+		stages := make([]sim.StageSnapshot, len(js.Stages))
+		for si, st := range js.Stages {
+			stages[si] = sim.StageSnapshot{Dispatched: st.Completed, Completed: st.Completed, Limit: st.Limit}
+		}
+		idle.Jobs[i] = sim.JobSnapshot{DAG: js.DAG, Stages: stages}
+	}
+	idle.NumExecutors = k
+	idle.Executors = make([]sim.ExecutorSnapshot, k)
+	for i := range idle.Executors {
+		idle.Executors[i] = sim.ExecutorSnapshot{State: sim.ExecIdle, Job: -1, Stage: -1}
+	}
+	return &idle
 }
 
 // BenchmarkSchedLoopHoldOff / HoldOn compare the shared-pool and

@@ -128,43 +128,29 @@ func (f *FilterPCAPS) threshold(r, l, u float64) float64 {
 // Pick implements sim.Scheduler, mirroring Algorithm 1 with the
 // configured variations.
 func (f *FilterPCAPS) Pick(c *sim.Cluster) sim.Decision {
-	refs, probs := f.PB.Distribution(c)
-	if len(refs) == 0 {
-		return sim.DeferDecision
-	}
 	if f.rng == nil {
 		f.rng = rand.New(rand.NewSource(f.Seed))
 	}
-	v := sampleIndex(f.rng, probs)
-	r := core.RelativeImportance(probs, v)
+	ref, r, ok := f.PB.Draw(c, f.rng)
+	if !ok {
+		return sim.DeferDecision
+	}
 	if f.UniformImportance {
 		r = f.Gamma
 	}
 	l, u := f.bounds(c)
 	if f.threshold(r, l, u) < c.Carbon() && c.BusyCount() > 0 {
-		c.NoteDeferral(refs[v])
+		c.NoteDeferral(ref)
 		return sim.DeferDecision
 	}
-	planned := f.PB.PlannedLimit(c, refs[v])
+	planned := f.PB.PlannedLimit(c, ref)
 	limit := planned
 	if !f.DisableParallelismScaling {
 		if psi, err := core.NewPsi(f.Gamma, l, u); err == nil {
 			limit = psi.ParallelismLimit(planned, c.Carbon())
 		}
 	}
-	return sim.Decision{Ref: refs[v], Limit: limit}
-}
-
-func sampleIndex(rng *rand.Rand, probs []float64) int {
-	x := rng.Float64()
-	var cum float64
-	for i, p := range probs {
-		cum += p
-		if x < cum {
-			return i
-		}
-	}
-	return len(probs) - 1
+	return sim.Decision{Ref: ref, Limit: limit}
 }
 
 // SuspendResume is the [33]-style baseline: a single carbon threshold

@@ -3,48 +3,102 @@
 package sched
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"pcaps/internal/sim"
 	"pcaps/internal/workload"
 )
 
-// allocGuard measures its inner policy's Pick allocations once, mid-run,
-// on a cluster with a sizeable runnable view, then delegates.
+// allocGuard records which Picks of its inner policy allocate, reading
+// the allocator's counters around each call once measuring is on. The
+// counters are process-wide, so a runtime goroutine's allocation can land
+// in a measured window; only a Pick that allocates in two replays of the
+// same trajectory is the policy's.
 type allocGuard struct {
-	t        *testing.T
-	inner    sim.Scheduler
-	picks    int
-	measured bool
+	inner     sim.Scheduler
+	measuring bool
+	picks     int
+	allocing  []int
+	ms        runtime.MemStats
 }
 
 func (g *allocGuard) Name() string { return g.inner.Name() }
 func (g *allocGuard) Pick(c *sim.Cluster) sim.Decision {
-	g.picks++
-	if !g.measured && g.picks >= 200 && len(c.Runnable()) >= 20 {
-		g.measured = true
-		if avg := testing.AllocsPerRun(100, func() { g.inner.Pick(c) }); avg != 0 {
-			g.t.Errorf("%s.Pick allocated %.2f/op once warm", g.inner.Name(), avg)
-		}
+	if !g.measuring {
+		return g.inner.Pick(c)
 	}
-	return g.inner.Pick(c)
+	// A run record computes its critical-path vector on first use, into
+	// a backing array the record pool recycles; that growth is the
+	// engine's, so it happens before the measured call.
+	for _, j := range c.ActiveJobs() {
+		j.CriticalPathWork()
+	}
+	runtime.ReadMemStats(&g.ms)
+	before := g.ms.Mallocs
+	d := g.inner.Pick(c)
+	runtime.ReadMemStats(&g.ms)
+	if g.ms.Mallocs != before {
+		g.allocing = append(g.allocing, g.picks)
+	}
+	g.picks++
+	return d
 }
 
 // TestPickAllocationFree pins the //pcaps:hotpath contract of the paper's
-// scheduler end to end: once its scratch has grown, a steady-state Pick
-// of Decima and of PCAPS over it allocates nothing, memo writes included.
+// scheduler end to end: once the sampler's tree has grown to its
+// high-water mark, every Pick of Decima and of PCAPS over it allocates
+// nothing, on a stream that admits and retires jobs throughout. The
+// first pass grows the scratch; the next two replay the same trajectory
+// (the sampling streams restart from their seeds) and measure each Pick.
+// The tree is sized by the in-flight jobs, not the total.
 // Compiled out under -race, whose instrumentation perturbs allocation
 // counts.
 func TestPickAllocationFree(t *testing.T) {
-	for _, s := range []sim.Scheduler{NewDecima(3), NewPCAPS(NewDecima(3), DefaultPCAPSGamma, 3)} {
-		g := &allocGuard{t: t, inner: s}
-		jobs := workload.Batch(workload.BatchConfig{N: 30, MeanInterarrival: 5, Mix: workload.MixBoth, Seed: 3})
+	d, pd := NewDecima(3), NewDecima(3)
+	p := NewPCAPS(pd, DefaultPCAPSGamma, 3)
+	for _, tc := range []struct {
+		s      sim.Scheduler
+		dist   *softmax
+		reseed func()
+	}{
+		{d, &d.dist, func() { d.rng.Seed(d.Seed) }},
+		{p, &pd.dist, func() { p.rng.Seed(p.Seed) }},
+	} {
+		g := &allocGuard{inner: tc.s}
+		jobs := workload.Batch(workload.BatchConfig{N: 40, MeanInterarrival: 25, Mix: workload.MixBoth, Seed: 3})
 		cfg := sim.Config{NumExecutors: 24, Trace: deTrace(t), Seed: 3, MoveDelay: 1}
-		if _, err := sim.RunStream(cfg, &sim.SliceSource{Jobs: jobs}, g); err != nil {
-			t.Fatal(err)
-		}
-		if !g.measured {
-			t.Fatalf("%s: no Pick with a runnable view of 20 after 200 picks", s.Name())
+		var allocing [][]int
+		for pass := range 3 {
+			if pass > 0 {
+				g.measuring, g.picks, g.allocing = true, 0, nil
+				tc.reseed()
+			}
+			res, err := sim.RunStream(cfg, &sim.SliceSource{Jobs: jobs}, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pass == 0 {
+				continue
+			}
+			allocing = append(allocing, g.allocing)
+			if pass < 2 {
+				continue
+			}
+			for _, pick := range allocing[0] {
+				if slices.Contains(allocing[1], pick) {
+					t.Errorf("%s: Pick %d of %d allocated in both replays", tc.s.Name(), pick, g.picks)
+				}
+			}
+			peak := res.Stream.PeakInFlight
+			if res.Stream.RecycledRuns == 0 || peak >= len(jobs)/2 {
+				t.Fatalf("%s: %d records recycled, peak %d in flight of %d jobs; the stream does not churn",
+					tc.s.Name(), res.Stream.RecycledRuns, peak, len(jobs))
+			}
+			if n := cap(tc.dist.nodes); n >= 2*peak {
+				t.Errorf("%s: tree of %d nodes for at most %d jobs in flight", tc.s.Name(), n, peak)
+			}
 		}
 	}
 }

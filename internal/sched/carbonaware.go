@@ -188,40 +188,24 @@ func (p *PCAPS) psi(c *sim.Cluster) *core.Psi {
 	return ps
 }
 
-// Pick implements sim.Scheduler (Alg. 1 lines 4-10). The distribution's
-// refs and probs are inner-scheduler-owned scratch (valid until the next
-// Distribution call), so sampling and admission happen before any further
-// scheduling work.
+// Pick implements sim.Scheduler (Alg. 1 lines 4-10): sample a stage and
+// its relative importance from the inner distribution, and admit it iff
+// Ψγ(r) ≥ c(t) or no machine is busy.
 //
 //pcaps:hotpath
 func (p *PCAPS) Pick(c *sim.Cluster) sim.Decision {
-	refs, probs := p.PB.Distribution(c)
-	if len(refs) == 0 {
-		return sim.DeferDecision
-	}
 	if p.rng == nil {
 		p.rng = rand.New(rand.NewSource(p.Seed))
 	}
-	v := sampleIndex(p.rng, probs)
-	r := core.RelativeImportance(probs, v)
-	psi := p.psi(c)
-	if !psi.Admits(r, c.Carbon()) && c.BusyCount() > 0 {
-		c.NoteDeferral(refs[v])
+	ref, r, ok := p.PB.Draw(c, p.rng)
+	if !ok {
 		return sim.DeferDecision
 	}
-	planned := p.PB.PlannedLimit(c, refs[v])
-	return sim.Decision{Ref: refs[v], Limit: psi.ParallelismLimit(planned, c.Carbon())}
-}
-
-//pcaps:hotpath
-func sampleIndex(rng *rand.Rand, probs []float64) int {
-	x := rng.Float64()
-	var cum float64
-	for i, pr := range probs {
-		cum += pr
-		if x < cum {
-			return i
-		}
+	psi := p.psi(c)
+	if !psi.Admits(r, c.Carbon()) && c.BusyCount() > 0 {
+		c.NoteDeferral(ref)
+		return sim.DeferDecision
 	}
-	return len(probs) - 1
+	planned := p.PB.PlannedLimit(c, ref)
+	return sim.Decision{Ref: ref, Limit: psi.ParallelismLimit(planned, c.Carbon())}
 }

@@ -8,21 +8,44 @@ import (
 )
 
 // Probabilistic is the class of schedulers PCAPS interfaces with
-// (Def. 4.1): at each scheduling event it exposes a probability
+// (Def. 4.1): at each scheduling event it holds a probability
 // distribution over the runnable stages, from which the next scheduled
 // stage is sampled.
 type Probabilistic interface {
 	sim.Scheduler
-	// Distribution returns the runnable stage references and a matching
-	// probability vector (non-negative, summing to 1 unless empty).
-	// Both slices may be scheduler-owned scratch: they are valid only
-	// until the next Distribution or Pick call and must not be retained
-	// or modified by the caller.
-	Distribution(c *sim.Cluster) ([]sim.StageRef, []float64)
+	// Draw samples a stage v from the distribution p (Def. 4.1) and
+	// returns it with its relative importance p_v / max_u p_u (Def. 4.2).
+	// u supplies the uniform variate: Draw calls u.Float64 exactly once
+	// when the distribution has a stage and not at all otherwise, so a
+	// caller that passes its *rand.Rand consumes the stream exactly as
+	// sampling an explicit probability vector would. ok is false when no
+	// stage can be scheduled.
+	Draw(c *sim.Cluster, u Uniform) (ref sim.StageRef, importance float64, ok bool)
 	// PlannedLimit returns the parallelism limit the scheduler would
 	// assign the stage absent any carbon awareness (the P that PCAPS
 	// scales down, §5.1).
 	PlannedLimit(c *sim.Cluster, ref sim.StageRef) int
+}
+
+// Uniform supplies a uniform variate in [0, 1); *rand.Rand is one.
+type Uniform interface {
+	Float64() float64
+}
+
+// pickFrom is the carbon-agnostic Pick of a probabilistic scheduler:
+// sample a stage with the scheduler's own stream (created from seed on
+// first use) and schedule it at its planned limit.
+//
+//pcaps:hotpath
+func pickFrom(pb Probabilistic, c *sim.Cluster, rng **rand.Rand, seed int64) sim.Decision {
+	if *rng == nil {
+		*rng = rand.New(rand.NewSource(seed))
+	}
+	ref, _, ok := pb.Draw(c, *rng)
+	if !ok {
+		return sim.DeferDecision
+	}
+	return sim.Decision{Ref: ref, Limit: pb.PlannedLimit(c, ref)}
 }
 
 // Decima is the Decima-like probabilistic scheduler — the substitution for
@@ -44,14 +67,9 @@ type Decima struct {
 	Seed int64
 
 	rng *rand.Rand
-	// Per-Pick scratch, reused across calls: the filtered runnable refs,
-	// each ref's job-remaining-work (parallel to refs), and the score /
-	// probability vectors. Distribution returns refs and probs directly,
-	// so its results are valid only until the next Distribution call.
-	refs      []sim.StageRef
-	jobRemain []float64
-	scores    []float64
-	probs     []float64
+	// dist is the distribution, kept incrementally across Picks on one
+	// cluster.
+	dist softmax
 }
 
 // NewDecima returns a Decima-like scheduler with tuned defaults.
@@ -62,49 +80,19 @@ func NewDecima(seed int64) *Decima {
 // Name implements sim.Scheduler.
 func (d *Decima) Name() string { return "Decima" }
 
-// Distribution implements Probabilistic. The distribution masks not only
-// non-runnable stages but also stages already saturated under the planned
-// executor cap, so every sampled action is executable (the masked-softmax
-// semantics of Decima's action space).
+// Draw implements Probabilistic. Stage v of job j scores
+// (CPWeight·min(cp_v/R_j, 1) − SRPTWeight·R_j/max R) / Temperature, from
+// its downstream critical-path work cp_v and the job's remaining work
+// R_j, and p_v is the softmax of the scores. The distribution masks not
+// only non-runnable stages but also stages already saturated under the
+// planned executor cap, so every sampled action is executable (the
+// masked-softmax semantics of Decima's action space).
 //
-// Each event changes one job, so most of the work is memoized on the
-// engine's run records (see DESIGN.md): a job's remaining work and
-// critical-path vector on its JobRun, each stage's softmax term on its
-// StageRun. Every memo returns the bits a fresh computation would.
+// Each event changes one job, so the distribution is kept per job and
+// recomputed only for the jobs whose state moved (DESIGN.md §2.2).
 //
 //pcaps:hotpath
-func (d *Decima) Distribution(c *sim.Cluster) ([]sim.StageRef, []float64) {
-	// Filter to stages below their planned limit. The view is job-major,
-	// so the job's remaining work and grant cap are computed once per
-	// group boundary and the remaining work is recorded per ref
-	// (d.jobRemain parallels runnable). The normalizer maxRemain ranges
-	// over the jobs that keep at least one ref.
-	share := grantShare(c)
-	runnable := d.refs[:0]
-	d.jobRemain = d.jobRemain[:0]
-	maxRemain := 0.0
-	var lastJob *sim.JobRun
-	var remain float64
-	var jobCap int
-	for _, r := range c.Runnable() {
-		if r.Job != lastJob {
-			lastJob = r.Job
-			remain = r.Job.RemainingWork()
-			jobCap = workCap(share, remain)
-		}
-		if r.Stage.Running >= plannedLimit(r.Stage, jobCap) {
-			continue
-		}
-		if remain > maxRemain {
-			maxRemain = remain
-		}
-		runnable = append(runnable, r)
-		d.jobRemain = append(d.jobRemain, remain)
-	}
-	d.refs = runnable
-	if len(runnable) == 0 {
-		return nil, nil
-	}
+func (d *Decima) Draw(c *sim.Cluster, u Uniform) (sim.StageRef, float64, bool) {
 	cpW, srptW, temp := d.CPWeight, d.SRPTWeight, d.Temperature
 	if cpW == 0 && srptW == 0 {
 		cpW, srptW = 3, 4
@@ -112,51 +100,8 @@ func (d *Decima) Distribution(c *sim.Cluster) ([]sim.StageRef, []float64) {
 	if temp <= 0 {
 		temp = 1
 	}
-	if cap(d.scores) < len(runnable) {
-		//hot:alloc one-time scratch growth to the runnable high-water mark
-		d.scores = make([]float64, len(runnable))
-	}
-	scores := d.scores[:len(runnable)]
-	maxScore := math.Inf(-1)
-	lastJob = nil
-	var cp []float64
-	for i, r := range runnable {
-		if r.Job != lastJob {
-			lastJob = r.Job
-			cp = r.Job.CriticalPathWork()
-		}
-		jobRemain := d.jobRemain[i]
-		cpNorm := 0.0
-		if jobRemain > 0 {
-			cpNorm = cp[r.Stage.Stage.ID] / jobRemain
-			if cpNorm > 1 {
-				cpNorm = 1
-			}
-		}
-		srptNorm := 0.0
-		if maxRemain > 0 {
-			srptNorm = jobRemain / maxRemain
-		}
-		scores[i] = (cpW*cpNorm - srptW*srptNorm) / temp
-		if scores[i] > maxScore {
-			maxScore = scores[i]
-		}
-	}
-	// Masked softmax (runnable stages only), stabilized by max-shift.
-	if cap(d.probs) < len(scores) {
-		//hot:alloc one-time scratch growth to the runnable high-water mark
-		d.probs = make([]float64, len(scores))
-	}
-	probs := d.probs[:len(scores)]
-	var sum float64
-	for i, s := range scores {
-		probs[i] = runnable[i].Stage.MemoExp(s - maxScore)
-		sum += probs[i]
-	}
-	for i := range probs {
-		probs[i] /= sum
-	}
-	return runnable, probs
+	d.dist.configure(cpW, srptW, temp, true)
+	return d.dist.draw(c, u)
 }
 
 // GrantDivisor tunes the work-derived per-job executor cap used by the
@@ -221,27 +166,12 @@ func (d *Decima) PlannedLimit(c *sim.Cluster, ref sim.StageRef) int {
 	return plannedLimit(ref.Stage, workCap(grantShare(c), ref.Job.RemainingWork()))
 }
 
-// Sample draws an index from the probability vector.
-//
-//pcaps:hotpath
-func (d *Decima) Sample(probs []float64) int {
-	if d.rng == nil {
-		d.rng = rand.New(rand.NewSource(d.Seed))
-	}
-	return sampleIndex(d.rng, probs)
-}
-
 // Pick implements sim.Scheduler: sample a stage from the distribution and
 // schedule it with the planned limit (carbon-agnostic behaviour).
 //
 //pcaps:hotpath
 func (d *Decima) Pick(c *sim.Cluster) sim.Decision {
-	refs, probs := d.Distribution(c)
-	if len(refs) == 0 {
-		return sim.DeferDecision
-	}
-	v := d.Sample(probs)
-	return sim.Decision{Ref: refs[v], Limit: d.PlannedLimit(c, refs[v])}
+	return pickFrom(d, c, &d.rng, d.Seed)
 }
 
 // UniformPB is the simplest member of the Def. 4.1 class: a uniform
@@ -253,32 +183,19 @@ type UniformPB struct {
 	// Seed drives sampling.
 	Seed int64
 	rng  *rand.Rand
-	// probs is per-call scratch; Distribution's results are valid only
-	// until its next call.
-	probs []float64
+	// dist is the distribution: every score 0, nothing masked.
+	dist softmax
 }
 
 // Name implements sim.Scheduler.
 func (u *UniformPB) Name() string { return "UniformPB" }
 
-// Distribution implements Probabilistic with equal mass per runnable
-// stage.
+// Draw implements Probabilistic with equal mass per runnable stage.
 //
 //pcaps:hotpath
-func (u *UniformPB) Distribution(c *sim.Cluster) ([]sim.StageRef, []float64) {
-	runnable := c.Runnable()
-	if len(runnable) == 0 {
-		return nil, nil
-	}
-	if cap(u.probs) < len(runnable) {
-		//hot:alloc one-time scratch growth to the runnable high-water mark
-		u.probs = make([]float64, len(runnable))
-	}
-	probs := u.probs[:len(runnable)]
-	for i := range probs {
-		probs[i] = 1 / float64(len(runnable))
-	}
-	return runnable, probs
+func (u *UniformPB) Draw(c *sim.Cluster, v Uniform) (sim.StageRef, float64, bool) {
+	u.dist.configure(0, 0, 1, false)
+	return u.dist.draw(c, v)
 }
 
 // PlannedLimit implements Probabilistic: up to the stage's remaining
@@ -296,13 +213,5 @@ func (u *UniformPB) PlannedLimit(c *sim.Cluster, ref sim.StageRef) int {
 //
 //pcaps:hotpath
 func (u *UniformPB) Pick(c *sim.Cluster) sim.Decision {
-	refs, probs := u.Distribution(c)
-	if len(refs) == 0 {
-		return sim.DeferDecision
-	}
-	if u.rng == nil {
-		u.rng = rand.New(rand.NewSource(u.Seed))
-	}
-	v := sampleIndex(u.rng, probs)
-	return sim.Decision{Ref: refs[v], Limit: u.PlannedLimit(c, refs[v])}
+	return pickFrom(u, c, &u.rng, u.Seed)
 }

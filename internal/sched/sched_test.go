@@ -2,6 +2,8 @@ package sched
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"pcaps/internal/carbon"
@@ -69,7 +71,7 @@ func TestDecimaDistributionIsValid(t *testing.T) {
 	tr := deTrace(t)
 	jobs := tpchBatch(t, 8, 4)
 	d := NewDecima(1)
-	probe := &distProbe{t: t, inner: d}
+	probe := &distProbe{t: t, inner: d, rng: rand.New(rand.NewSource(1))}
 	if _, err := sim.Run(sim.Config{NumExecutors: 10, Trace: tr, Seed: 1}, jobs, probe); err != nil {
 		t.Fatal(err)
 	}
@@ -78,29 +80,27 @@ func TestDecimaDistributionIsValid(t *testing.T) {
 	}
 }
 
-// distProbe validates Decima's distribution at every Pick, then delegates.
+// distProbe validates a draw from Decima's distribution at every Pick,
+// then delegates: the stage is an active job's runnable stage below its
+// planned limit, and its relative importance lies in (0, 1].
 type distProbe struct {
 	t      *testing.T
 	inner  *Decima
+	rng    *rand.Rand
 	checks int
 }
 
 func (p *distProbe) Name() string { return "probe" }
 func (p *distProbe) Pick(c *sim.Cluster) sim.Decision {
-	refs, probs := p.inner.Distribution(c)
-	if len(refs) != len(probs) {
-		p.t.Fatalf("refs/probs length mismatch: %d vs %d", len(refs), len(probs))
-	}
-	if len(probs) > 0 {
-		var sum float64
-		for _, pr := range probs {
-			if pr < 0 || math.IsNaN(pr) {
-				p.t.Fatalf("bad probability %v", pr)
-			}
-			sum += pr
+	if ref, imp, ok := p.inner.Draw(c, p.rng); ok {
+		if !(imp > 0 && imp <= 1) {
+			p.t.Fatalf("relative importance %v outside (0, 1]", imp)
 		}
-		if math.Abs(sum-1) > 1e-9 {
-			p.t.Fatalf("probabilities sum to %v", sum)
+		if !ref.Stage.Runnable() || ref.Stage.Running >= p.inner.PlannedLimit(c, ref) {
+			p.t.Fatalf("drew job %d stage %d, which cannot take an executor", ref.Job.Job.ID, ref.Stage.Stage.ID)
+		}
+		if !slices.Contains(c.ActiveJobs(), ref.Job) {
+			p.t.Fatalf("drew a stage of job %d, which is not active", ref.Job.Job.ID)
 		}
 		p.checks++
 	}

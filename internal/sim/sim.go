@@ -143,25 +143,6 @@ type StageRun struct {
 	// ParentsLeft counts incomplete parent stages; the stage is
 	// runnable when it reaches 0.
 	ParentsLeft int
-
-	// expArg and expVal memoize MemoExp's last argument and result; a
-	// zero expVal marks the memo empty.
-	expArg, expVal float64
-}
-
-// MemoExp returns math.Exp(x), remembering the last argument and result
-// on the stage record. A scheduler that scores runnable stages with a
-// softmax passes the same argument on most calls, since the argument only
-// moves when this stage's score or the softmax's max-shift does; the
-// remembered result is then the one math.Exp returned for that exact
-// argument, so the answer is bit-identical either way.
-//
-//pcaps:hotpath
-func (s *StageRun) MemoExp(x float64) float64 {
-	if s.expVal == 0 || s.expArg != x {
-		s.expArg, s.expVal = x, math.Exp(x)
-	}
-	return s.expVal
 }
 
 // Runnable reports whether the stage can accept a new executor under its
@@ -213,6 +194,8 @@ type JobRun struct {
 	// cp holds CriticalPathWork's vector once computed (empty before).
 	// Its backing array survives pool recycling, like arena's.
 	cp []float64
+	// stamp is the cluster epoch of the job's last change (see Stamp).
+	stamp int
 	// holdReady mirrors len(held) > 0 && len(runnable) > 0 — the job can
 	// serve a held executor right now. The cluster counts holdReady jobs
 	// so the hold-mode dispatch pass is skipped entirely when no job has
@@ -238,6 +221,22 @@ func (j *JobRun) RemainingWork() float64 {
 	}
 	return j.remain
 }
+
+// Stamp returns the cluster epoch at which anything a scheduler can read
+// of this job last changed: its runnable stages, a stage's dispatched,
+// completed or running count, or its executor count. Stamps only grow
+// within one cluster, so a scheduler that keeps state derived from a job
+// may reuse it for as long as the job's stamp is the one it recorded.
+// A restored cluster's jobs start at stamp 0.
+func (j *JobRun) Stamp() int { return j.stamp }
+
+// RunnableStages returns the job's runnable stages (all parents
+// complete, undispatched tasks left) in stage-ID order, regardless of
+// the per-job cap. The slice is the cluster's live index: it is valid
+// until the next state change and must not be retained or modified.
+//
+//pcaps:hotpath
+func (j *JobRun) RunnableStages() []*StageRun { return j.runnable }
 
 // CriticalPathWork returns, per stage ID, the work on the heaviest
 // downstream chain starting at that stage (dag.Job.CriticalPathWorkDown).
@@ -438,11 +437,14 @@ func (c *Cluster) RunningCount() int { return c.busyCount }
 // IdleCount returns the number of executors in the shared free pool.
 func (c *Cluster) IdleCount() int { return len(c.execs) - c.activeCount }
 
-// invalidate marks every cached view stale. It must be called (at least
-// once) on any state change that can alter what schedulers observe:
-// admissions, task dispatch, task completion, executor release, hold
-// expiry, and job completion.
-func (c *Cluster) invalidate() { c.epoch++ }
+// touch marks every cached view stale and moves the job's stamp to the
+// new epoch. Every change to a job that schedulers can observe —
+// admission, task dispatch, task completion, executor release, hold
+// expiry, and job completion — must touch the job before the next Pick.
+func (c *Cluster) touch(j *JobRun) {
+	c.epoch++
+	j.stamp = c.epoch
+}
 
 // ActiveJobs returns admitted, incomplete jobs in index order (batch
 // order for Run, arrival order for RunStream).
@@ -767,7 +769,7 @@ func (c *Cluster) arrive(j *JobRun) {
 		}
 	}
 	c.updateHoldReady(j)
-	c.invalidate()
+	c.touch(j)
 }
 
 // noteDispatch records one task hand-off on the stage; a fully dispatched
@@ -783,7 +785,7 @@ func (c *Cluster) noteDispatch(j *JobRun, st *StageRun) {
 		}
 		c.updateHoldReady(j)
 	}
-	c.invalidate()
+	c.touch(j)
 }
 
 // insertRunnable adds a newly ready stage to the job's runnable index,
@@ -863,11 +865,7 @@ func (c *Cluster) schedule(s Scheduler) error {
 		// (it would pop and re-push every waiting ID), so skip it.
 		c.dispatchReserved()
 	}
-	for c.IdleCount() > 0 {
-		runnable := c.Runnable()
-		if len(runnable) == 0 {
-			return nil
-		}
+	for c.IdleCount() > 0 && c.hasRunnable() {
 		d := s.Pick(c)
 		if d.Defer {
 			return nil
@@ -875,7 +873,7 @@ func (c *Cluster) schedule(s Scheduler) error {
 		if d.Ref.Stage == nil || d.Ref.Job == nil {
 			return fmt.Errorf("%w: %s returned empty decision", errNoProgress, s.Name())
 		}
-		if n := c.assign(d); n == 0 {
+		if n := c.Assign(d); n == 0 {
 			// The chosen stage could not accept an executor (saturated
 			// limit or per-job cap). A correct scheduler avoids this;
 			// treat it as a defer rather than livelocking.
@@ -885,13 +883,28 @@ func (c *Cluster) schedule(s Scheduler) error {
 	return nil
 }
 
-// assign binds idle executors to the decision's stage, honouring the
-// parallelism limit, remaining tasks, and per-job cap. It returns the
-// number of executors bound. Executors come off the free list in
-// ascending-ID order, matching the historical whole-cluster scan.
-func (c *Cluster) assign(d Decision) int {
+// hasRunnable reports whether Runnable would return any stage, without
+// building the view: a policy that never reads the view does not pay
+// for it.
+func (c *Cluster) hasRunnable() bool {
+	for _, j := range c.active {
+		if len(j.runnable) > 0 && (c.cfg.PerJobCap <= 0 || j.Executors < c.cfg.PerJobCap) {
+			return true
+		}
+	}
+	return false
+}
+
+// Assign is the event loop's assignment step: it binds idle executors to
+// the decision's stage, honouring the parallelism limit, remaining tasks,
+// and per-job cap, and returns the number of executors bound (0 for a
+// deferral). Executors come off the free list in ascending-ID order,
+// matching the historical whole-cluster scan. On a restored cluster it
+// applies successive decisions without running any event, so a
+// benchmark can drive one cluster through a sequence of Picks.
+func (c *Cluster) Assign(d Decision) int {
 	j, st := d.Ref.Job, d.Ref.Stage
-	if j.Done || !st.Runnable() {
+	if d.Defer || j == nil || st == nil || j.Done || !st.Runnable() {
 		return 0
 	}
 	limit := d.Limit
@@ -1008,7 +1021,9 @@ func (c *Cluster) completeTask(e *executor) {
 	}
 	st.Completed++
 	j.remainOK = false
-	c.invalidate()
+	// One stamp covers the rest of this transition too (stage finish,
+	// in-place continuation, executor release): no Pick runs in between.
+	c.touch(j)
 	if st.Completed == st.Stage.NumTasks {
 		c.finishStage(j, st)
 	}
@@ -1082,7 +1097,7 @@ func (c *Cluster) expireHold(e *executor) {
 	j.Executors--
 	c.activeCount--
 	c.free.push(e.id)
-	c.invalidate()
+	c.touch(j)
 }
 
 // finishStage propagates completion to children and detects job
@@ -1121,5 +1136,5 @@ func (c *Cluster) finishStage(j *JobRun, st *StageRun) {
 		}
 		c.doneScratch = append(c.doneScratch, j)
 	}
-	c.invalidate()
+	c.touch(j)
 }
