@@ -440,7 +440,7 @@ func idleFixture(snap *sim.Snapshot, k int) *sim.Snapshot {
 // executor-retention regimes on the same batch. The hold benchmarks use
 // a small cluster (K=8) and 48-task stages so held executors serve several
 // task waves per stage — the regime where the hold-mode dispatch path
-// (and its historical per-task churn) dominates.
+// (dispatchReserved and its in-place continuation) dominates.
 func BenchmarkSchedLoopHoldOff(b *testing.B) {
 	cfg := benchTrace(b)
 	cfg.NumExecutors = 8
@@ -453,20 +453,6 @@ func BenchmarkSchedLoopHoldOn(b *testing.B) {
 	cfg.NumExecutors = 8
 	cfg.HoldExecutors = true
 	cfg.IdleTimeout = 60
-	jobs := schedBatch(8, 5, 48, 2, 120)
-	benchSchedLoop(b, cfg, jobs, func() sim.Scheduler { return &sched.FIFO{} })
-}
-
-// BenchmarkSchedLoopHoldLegacyWakeups is HoldOn under the seed engine's
-// per-task expiry wake-up cadence (the compatibility mode the experiment
-// configs use); the events/op gap against HoldOn is the churn the
-// in-place continuation fix removes.
-func BenchmarkSchedLoopHoldLegacyWakeups(b *testing.B) {
-	cfg := benchTrace(b)
-	cfg.NumExecutors = 8
-	cfg.HoldExecutors = true
-	cfg.IdleTimeout = 60
-	cfg.LegacyHoldWakeups = true
 	jobs := schedBatch(8, 5, 48, 2, 120)
 	benchSchedLoop(b, cfg, jobs, func() sim.Scheduler { return &sched.FIFO{} })
 }
@@ -608,7 +594,6 @@ func placementSnapshot(b *testing.B) *sim.Snapshot {
 	cfg := sim.Config{
 		NumExecutors: 20,
 		Trace:        tr,
-		Seed:         42,
 		Observer: func(c *sim.Cluster) {
 			events++
 			if snap == nil && events >= 30 && c.BusyCount() > 0 && len(c.ActiveJobs()) > 1 {

@@ -26,7 +26,7 @@ func main() {
 		tr := traces[name]
 		cfg := sim.Config{
 			NumExecutors: 100, Trace: tr, MoveDelay: 1,
-			HoldExecutors: true, IdleTimeout: 60, Seed: 1,
+			HoldExecutors: true, IdleTimeout: 60,
 		}
 		run := func(s sim.Scheduler) *sim.Result {
 			res, err := sim.Run(cfg, jobs, s)

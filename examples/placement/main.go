@@ -46,7 +46,6 @@ func snapshotMidRun() *sim.Snapshot {
 	cfg := sim.Config{
 		NumExecutors: 20,
 		Trace:        tr,
-		Seed:         seed,
 		Observer: func(c *sim.Cluster) {
 			events++
 			if snap == nil && events >= 30 && c.BusyCount() > 0 && len(c.ActiveJobs()) > 1 {

@@ -45,7 +45,6 @@ func main() {
 		MoveDelay:     1,
 		HoldExecutors: true,
 		IdleTimeout:   60,
-		Seed:          1,
 	}
 
 	// 4. Schedulers: the carbon-agnostic Decima-like policy, PCAPS

@@ -25,7 +25,7 @@ func main() {
 	jobs := workload.Batch(workload.BatchConfig{N: 50, MeanInterarrival: 30, Mix: workload.MixTPCH, Seed: 23})
 	cfg := sim.Config{
 		NumExecutors: 100, Trace: tr, MoveDelay: 1,
-		HoldExecutors: true, IdleTimeout: 60, Seed: 1,
+		HoldExecutors: true, IdleTimeout: 60,
 	}
 	run := func(s sim.Scheduler) *sim.Result {
 		res, err := sim.Run(cfg, jobs, s)

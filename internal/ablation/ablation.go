@@ -17,7 +17,6 @@ package ablation
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"pcaps/internal/core"
@@ -268,9 +267,4 @@ func safeRatio(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-func init() {
-	// Keep math imported even if clamping helpers churn.
-	_ = math.Inf
 }

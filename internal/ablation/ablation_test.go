@@ -21,7 +21,7 @@ func setup(t testing.TB) (sim.Config, []*dag.Job) {
 	tr := carbon.Synthesize(spec, 3000, 60, 17)
 	jobs := workload.Batch(workload.BatchConfig{N: 40, MeanInterarrival: 30, Mix: workload.MixTPCH, Seed: 23})
 	cfg := sim.Config{NumExecutors: 100, Trace: tr, MoveDelay: 1,
-		HoldExecutors: true, IdleTimeout: 60, Seed: 1}
+		HoldExecutors: true, IdleTimeout: 60}
 	return cfg, jobs
 }
 

@@ -42,8 +42,6 @@ type Config struct {
 	// IdleTimeout is Spark dynamic allocation's executorIdleTimeout in
 	// seconds (60 by default): how long an idle executor pod lingers.
 	IdleTimeout float64
-	// Seed drives task jitter.
-	Seed int64
 }
 
 // PaperConfig returns the §6.3 testbed: 50 workers × 2 executors = 100
@@ -73,12 +71,6 @@ func (c Config) SimConfig(tr *carbon.Trace) sim.Config {
 		PerJobCap:     c.PerJobCap,
 		HoldExecutors: true,
 		IdleTimeout:   c.IdleTimeout,
-		// The paper tables were produced under the seed engine's
-		// per-task hold-expiry wake-ups; keep that cadence so published
-		// artifacts stay byte-identical (see sim.Config.LegacyHoldWakeups
-		// and DESIGN.md).
-		LegacyHoldWakeups: true,
-		Seed:              c.Seed,
 	}
 }
 

@@ -31,7 +31,7 @@ func ablationReport(opt Options) (*result.Artifact, error) {
 	tr := e.trialTrace("DE", 60+n, seed.Derive(e.opt.Seed, "DE", int64(n)))
 	seed := e.opt.Seed
 	jobs := batch(n, 30, workload.MixTPCH, seed)
-	cfg := scenario.StandaloneConfig(tr, seed)
+	cfg := scenario.StandaloneConfig(tr)
 	gamma := 0.6
 	mk := func() sched.Probabilistic { return sched.NewDecima(seed) }
 	variants := []sim.Scheduler{

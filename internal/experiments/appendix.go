@@ -74,11 +74,11 @@ func runAxis(opt Options, label string, proto bool, mix workload.Mix,
 		jobs := batch(njobs, inter, mix, seed)
 		window := 60 + njobs*int(inter+29)/30/1 // rough sizing; Slice clamps
 		tr := e.trialTrace("DE", window, seed)
-		cfg := scenario.StandaloneConfig(tr, seed)
+		cfg := scenario.StandaloneConfig(tr)
 		baseSched := sim.Scheduler(&sched.FIFO{})
 		capInner := func() sim.Scheduler { return &sched.FIFO{} }
 		if proto {
-			cfg = scenario.PrototypeConfig(tr, seed)
+			cfg = scenario.PrototypeConfig(tr)
 			baseSched = sched.NewKubeDefault()
 			capInner = func() sim.Scheduler { return sched.NewKubeDefault() }
 		}
@@ -203,7 +203,7 @@ func fig20(opt Options) (*result.Artifact, error) {
 	for _, qn := range queueSizes {
 		seed := e.opt.Seed
 		jobs := batch(qn, 0.001, workload.MixTPCH, seed) // all queued at once
-		lat := measurePickLatency(scenario.StandaloneConfig(tr, seed), jobs, reps, map[string]func() sim.Scheduler{
+		lat := measurePickLatency(scenario.StandaloneConfig(tr), jobs, reps, map[string]func() sim.Scheduler{
 			"FIFO":     func() sim.Scheduler { return &sched.FIFO{} },
 			"CAP-FIFO": func() sim.Scheduler { return sched.NewCAP(&sched.FIFO{}, 20) },
 			"Decima":   func() sim.Scheduler { return sched.NewDecima(seed) },

@@ -104,7 +104,6 @@ func runHyperscale(opt Options) (*result.Artifact, error) {
 			NumExecutors: cell.execs,
 			Trace:        tr,
 			MoveDelay:    1,
-			Seed:         seed,
 			// ~tens of events per job across a million jobs: give the
 			// livelock guard room well past the default 20M.
 			MaxEvents: 2_000_000_000,

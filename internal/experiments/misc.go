@@ -104,7 +104,7 @@ func fig6(opt Options) (*result.Artifact, error) {
 	tr := e.traces["DE"].Slice(0, 200*60)
 	seed := e.opt.Seed
 	jobs := batch(20, 30, workload.MixTPCH, seed)
-	cfg := scenario.StandaloneConfig(tr, seed)
+	cfg := scenario.StandaloneConfig(tr)
 	cfg.NumExecutors = 5
 	cfg.TrackJobUsage = true
 	const hours = 40 // the experiment's visible window (paper shows 15)
@@ -186,7 +186,7 @@ func fig9(opt Options) (*result.Artifact, error) {
 		seed := seed.Derive(e.opt.Seed, c.grid, int64(c.trial))
 		jobs := batch(n, 30, workload.MixBoth, seed)
 		tr := e.trialTrace(c.grid, 60+n, seed)
-		cfg := scenario.PrototypeConfig(tr, seed)
+		cfg := scenario.PrototypeConfig(tr)
 		runs[i] = scatterRuns{
 			base: mustRun(cfg, jobs, sched.NewKubeDefault()),
 			cp:   mustRun(cfg, jobs, sched.NewCAP(sched.NewKubeDefault(), 20)),
@@ -297,9 +297,9 @@ func fig15(opt Options) (*result.Artifact, error) {
 	pair := make([]*sim.Result, 2)
 	e.opt.pool.ForEach(2, func(i int) {
 		if i == 0 {
-			pair[0] = mustRun(scenario.StandaloneConfig(tr, seed), jobs, &sched.FIFO{})
+			pair[0] = mustRun(scenario.StandaloneConfig(tr), jobs, &sched.FIFO{})
 		} else {
-			pair[1] = mustRun(scenario.PrototypeConfig(tr, seed), jobs, sched.NewKubeDefault())
+			pair[1] = mustRun(scenario.PrototypeConfig(tr), jobs, sched.NewKubeDefault())
 		}
 	})
 	fifo, proto := pair[0], pair[1]

@@ -120,7 +120,7 @@ func runOverload(opt Options) (*result.Artifact, error) {
 			cps[k] = j.CriticalPathLength()
 		}
 		tr := e.trialTrace("DE", 60+n, seed)
-		cfg := scenario.StandaloneConfig(tr, seed)
+		cfg := scenario.StandaloneConfig(tr)
 		scheds := newScheds(seed)
 		out := cellOut{
 			open:   make([]metrics.OpenLoop, len(scheds)),

@@ -139,7 +139,7 @@ func fig13(opt Options) (*result.Artifact, error) {
 		seed := seed.Derive(opt.Seed, "DE", int64(t))
 		jobs := batch(n, 30, workload.MixTPCH, seed)
 		tr := e.trialTrace("DE", 60+n, seed)
-		cfg := scenario.StandaloneConfig(tr, seed)
+		cfg := scenario.StandaloneConfig(tr)
 		states[t] = trialState{jobs: jobs, cfg: cfg, base: mustRun(cfg, jobs, sched.NewDecima(seed))}
 		out := runs[t*perTrial : (t+1)*perTrial]
 		for i, g := range gammas {

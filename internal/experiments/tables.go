@@ -174,7 +174,7 @@ func table2(opt Options) (*result.Artifact, error) {
 		jobs := batch(c.size, 30, workload.MixBoth, seed)
 		window := 60 + c.size // hours: generous for the batch
 		tr := e.trialTrace(c.grid, window, seed)
-		cfg := scenario.PrototypeConfig(tr, seed)
+		cfg := scenario.PrototypeConfig(tr)
 		return map[string]*sim.Result{
 			"default": mustRun(cfg, jobs, sched.NewKubeDefault()),
 			"CAP":     mustRun(cfg, jobs, sched.NewCAP(sched.NewKubeDefault(), 20)),
@@ -202,7 +202,7 @@ func table3(opt Options) (*result.Artifact, error) {
 	aggs := tableMatrix(e, sizes, trials, names, func(c matrixCell, seed int64) map[string]*sim.Result {
 		jobs := batch(c.size, 30, workload.MixTPCH, seed)
 		tr := e.trialTrace(c.grid, 60+c.size, seed)
-		cfg := scenario.StandaloneConfig(tr, seed)
+		cfg := scenario.StandaloneConfig(tr)
 		return map[string]*sim.Result{
 			"FIFO":        mustRun(cfg, jobs, &sched.FIFO{}),
 			"CAP-FIFO":    mustRun(cfg, jobs, sched.NewCAP(&sched.FIFO{}, 20)),

@@ -46,9 +46,8 @@ type ClusterSpec struct {
 	// Trace is the cluster's carbon-intensity signal, consumed by the
 	// member simulation and by the default trace-backed Signals.
 	Trace *carbon.Trace
-	// Config is the member cluster's engine configuration. Trace and
-	// Seed are overridden per run (the seed is derived from the
-	// federation seed and the cluster identity).
+	// Config is the member cluster's engine configuration. Trace is
+	// overridden per run.
 	Config sim.Config
 	// NewScheduler builds the member cluster's scheduler. A fresh
 	// instance is built per run, seeded with the cluster's derived seed,
@@ -116,8 +115,8 @@ type Federation struct {
 	// Forecaster shapes the default trace-backed signals; nil selects
 	// the paper's oracle assumption (carbon.Oracle).
 	Forecaster carbon.Forecaster
-	// Seed drives every member simulation (domain-separated per
-	// cluster) and the per-cluster scheduler construction.
+	// Seed drives the per-cluster scheduler construction
+	// (domain-separated per cluster).
 	Seed int64
 }
 
@@ -143,7 +142,7 @@ type Result struct {
 	Summary metrics.FederationSummary
 }
 
-// clusterSeed derives a member cluster's simulation seed from the
+// clusterSeed derives a member cluster's scheduler seed from the
 // federation seed and the cluster's identity, domain-separated through
 // the same recipe the experiment engine uses for cell seeds — so adding
 // or reordering sibling clusters never perturbs an unrelated member.
@@ -309,8 +308,7 @@ func (f *Federation) Run(jobs []*dag.Job) (*Result, error) {
 		}
 		cfg := spec.Config
 		cfg.Trace = spec.Trace
-		cfg.Seed = clusterSeed(f.Seed, names[ci], ci)
-		res, err := sim.Run(cfg, shares[ci], spec.NewScheduler(cfg.Seed))
+		res, err := sim.Run(cfg, shares[ci], spec.NewScheduler(clusterSeed(f.Seed, names[ci], ci)))
 		if err != nil {
 			return nil, fmt.Errorf("federation: cluster %s: %w", names[ci], err)
 		}

@@ -72,7 +72,6 @@ func captureRun(t *testing.T, seed int64, specs []sched.Spec) []capture {
 	cfg := sim.Config{
 		NumExecutors: 20,
 		Trace:        tr,
-		Seed:         seed,
 		Observer: func(c *sim.Cluster) {
 			events++
 			// Sample a spread of cluster states: early (mostly idle),

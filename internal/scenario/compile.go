@@ -302,36 +302,28 @@ func (r *runEnv) gridMembers(grids []string) ([]member, error) {
 // StandaloneConfig is the Spark-standalone simulator environment (§5.2):
 // 100 executors all shared, applications retain executors per Spark's
 // dynamic allocation semantics.
-func StandaloneConfig(tr *carbon.Trace, seed int64) sim.Config {
+func StandaloneConfig(tr *carbon.Trace) sim.Config {
 	return sim.Config{
 		NumExecutors:  100,
 		Trace:         tr,
 		MoveDelay:     1,
 		HoldExecutors: true,
 		IdleTimeout:   60,
-		// The published tables were generated under the seed engine's
-		// per-task hold-expiry wake-up cadence, which deferring
-		// schedulers can observe; opt into it so every artifact stays
-		// byte-identical (sim.Config.LegacyHoldWakeups, DESIGN.md).
-		LegacyHoldWakeups: true,
-		Seed:              seed,
 	}
 }
 
 // PrototypeConfig is the Kubernetes prototype environment (§6.3).
-func PrototypeConfig(tr *carbon.Trace, seed int64) sim.Config {
-	c := cluster.PaperConfig()
-	c.Seed = seed
-	return c.SimConfig(tr)
+func PrototypeConfig(tr *carbon.Trace) sim.Config {
+	return cluster.PaperConfig().SimConfig(tr)
 }
 
 // baseConfig builds one member simulation's engine configuration: the
 // standalone or prototype environment the experiments runners use, with
 // the spec's engine overrides applied.
-func (r *runEnv) baseConfig(tr *carbon.Trace, trialSeed int64, m member) sim.Config {
-	cfg := StandaloneConfig(tr, trialSeed)
+func (r *runEnv) baseConfig(tr *carbon.Trace, m member) sim.Config {
+	cfg := StandaloneConfig(tr)
 	if r.spec.Proto {
-		cfg = PrototypeConfig(tr, trialSeed)
+		cfg = PrototypeConfig(tr)
 	}
 	if e := r.spec.Engine; e != nil {
 		if e.Executors > 0 {
@@ -471,7 +463,7 @@ func (r *runEnv) runComparison() (*result.Artifact, error) {
 		m := members[c.member]
 		trialSeed := seed.Derive(r.seed, m.key, int64(c.size), int64(c.trial))
 		tr := TrialWindow(m.trace, 60+c.size, trialSeed)
-		cfg := r.baseConfig(tr, trialSeed, m)
+		cfg := r.baseConfig(tr, m)
 		if r.streaming() {
 			// Hyperscale mode: each policy drains a fresh copy of the
 			// same seeded job stream through the memory-bounded engine.
@@ -685,7 +677,7 @@ func (r *runEnv) runSweep() (*result.Artifact, error) {
 		trialSeed := seed.Derive(r.seed, m.key, int64(t))
 		jobs := r.batch(n, trialSeed)
 		tr := TrialWindow(m.trace, 60+n, trialSeed)
-		cfg := r.baseConfig(tr, trialSeed, m)
+		cfg := r.baseConfig(tr, m)
 		states[t] = sweepState{jobs: jobs, cfg: cfg, base: mustRun(cfg, jobs, baseline(trialSeed))}
 		runs[t] = make([]*sim.Result, len(values))
 		for i := range values {
@@ -862,7 +854,7 @@ func (r *runEnv) runFederation() (*result.Artifact, error) {
 					Name:         fmt.Sprintf("%s-%d", m.key, ci),
 					Grid:         m.grid,
 					Trace:        tr,
-					Config:       r.baseConfig(tr, trialSeed, m),
+					Config:       r.baseConfig(tr, m),
 					NewScheduler: v.sched,
 				}
 			}
@@ -910,7 +902,7 @@ func (r *runEnv) runFederation() (*result.Artifact, error) {
 		}
 		baselineName := routerName(f.Routers[0])
 		base := agg[baselineName].summary()
-		memberK := r.baseConfig(nil, 0, members[0]).NumExecutors
+		memberK := r.baseConfig(nil, members[0]).NumExecutors
 		art.Textf("scenario %s — %d clusters × %d executors, %d jobs, avg of %d trial(s):\n",
 			topoKey(members), len(members), memberK, njobs, trials)
 		t := &result.Table{Name: topoKey(members), Columns: cols}

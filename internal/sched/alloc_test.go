@@ -68,7 +68,7 @@ func TestPickAllocationFree(t *testing.T) {
 	} {
 		g := &allocGuard{inner: tc.s}
 		jobs := workload.Batch(workload.BatchConfig{N: 40, MeanInterarrival: 25, Mix: workload.MixBoth, Seed: 3})
-		cfg := sim.Config{NumExecutors: 24, Trace: deTrace(t), Seed: 3, MoveDelay: 1}
+		cfg := sim.Config{NumExecutors: 24, Trace: deTrace(t), MoveDelay: 1}
 		var allocing [][]int
 		for pass := range 3 {
 			if pass > 0 {

@@ -307,7 +307,7 @@ func checkPolicyDraws(t *testing.T, policy string, seed int64, engine string, pe
 		s = NewCAP(o, 6)
 	}
 	jobs := workload.Batch(workload.BatchConfig{N: 12, MeanInterarrival: 10, Mix: workload.MixBoth, Seed: seed})
-	cfg := sim.Config{NumExecutors: 16, Trace: deTrace(t), Seed: seed, MoveDelay: 1, PerJobCap: perJobCap}
+	cfg := sim.Config{NumExecutors: 16, Trace: deTrace(t), MoveDelay: 1, PerJobCap: perJobCap}
 	var err error
 	switch engine {
 	case "run":

@@ -30,7 +30,7 @@ func tpchBatch(t testing.TB, n int, seed int64) []*dag.Job {
 
 func runWith(t testing.TB, s sim.Scheduler, jobs []*dag.Job, tr *carbon.Trace, k int) *sim.Result {
 	t.Helper()
-	res, err := sim.Run(sim.Config{NumExecutors: k, Trace: tr, MoveDelay: 1, Seed: 1}, jobs, s)
+	res, err := sim.Run(sim.Config{NumExecutors: k, Trace: tr, MoveDelay: 1}, jobs, s)
 	if err != nil {
 		t.Fatalf("%s: %v", s.Name(), err)
 	}
@@ -41,7 +41,7 @@ func runWith(t testing.TB, s sim.Scheduler, jobs []*dag.Job, tr *carbon.Trace, k
 // 60 s idle timeout (Appendix A.1.2 semantics).
 func runHold(t testing.TB, s sim.Scheduler, jobs []*dag.Job, tr *carbon.Trace, k int) *sim.Result {
 	t.Helper()
-	res, err := sim.Run(sim.Config{NumExecutors: k, Trace: tr, MoveDelay: 1, Seed: 1,
+	res, err := sim.Run(sim.Config{NumExecutors: k, Trace: tr, MoveDelay: 1,
 		HoldExecutors: true, IdleTimeout: 60}, jobs, s)
 	if err != nil {
 		t.Fatalf("%s: %v", s.Name(), err)
@@ -72,7 +72,7 @@ func TestDecimaDistributionIsValid(t *testing.T) {
 	jobs := tpchBatch(t, 8, 4)
 	d := NewDecima(1)
 	probe := &distProbe{t: t, inner: d, rng: rand.New(rand.NewSource(1))}
-	if _, err := sim.Run(sim.Config{NumExecutors: 10, Trace: tr, Seed: 1}, jobs, probe); err != nil {
+	if _, err := sim.Run(sim.Config{NumExecutors: 10, Trace: tr}, jobs, probe); err != nil {
 		t.Fatal(err)
 	}
 	if probe.checks == 0 {
@@ -208,7 +208,7 @@ func TestCAPQuotaNeverExceededByNewAssignments(t *testing.T) {
 	inner := &FIFO{}
 	cap := NewCAP(inner, 3)
 	probe := &quotaProbe{t: t, cap: cap}
-	if _, err := sim.Run(sim.Config{NumExecutors: 12, Trace: tr, Seed: 1}, jobs, probe); err != nil {
+	if _, err := sim.Run(sim.Config{NumExecutors: 12, Trace: tr}, jobs, probe); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -245,11 +245,11 @@ func TestCAPWorkConservingKeepsQuotaAndHelpsThroughput(t *testing.T) {
 	wc := NewCAP(&FIFO{}, 3)
 	wc.WorkConserving = true
 	probe := &quotaProbe{t: t, cap: wc}
-	res, err := sim.Run(sim.Config{NumExecutors: 12, Trace: tr, Seed: 1}, jobs, probe)
+	res, err := sim.Run(sim.Config{NumExecutors: 12, Trace: tr}, jobs, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := sim.Run(sim.Config{NumExecutors: 12, Trace: tr, Seed: 1}, jobs, NewCAP(&FIFO{}, 3))
+	plain, err := sim.Run(sim.Config{NumExecutors: 12, Trace: tr}, jobs, NewCAP(&FIFO{}, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestPCAPSUnderRealisticForecasts(t *testing.T) {
 	jobs := tpchBatch(t, 40, 7)
 	k := 100
 	mk := func(fc carbon.Forecaster, s sim.Scheduler) *sim.Result {
-		res, err := sim.Run(sim.Config{NumExecutors: k, Trace: tr, MoveDelay: 1, Seed: 1,
+		res, err := sim.Run(sim.Config{NumExecutors: k, Trace: tr, MoveDelay: 1,
 			HoldExecutors: true, IdleTimeout: 60, Forecaster: fc}, jobs, s)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)

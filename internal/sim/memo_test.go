@@ -54,12 +54,11 @@ func (o *memoOracle) check(c *sim.Cluster, where string, n int) {
 }
 
 // TestRunRecordMemosMatchFreshComputation is the oracle for the memos on
-// the engine's run records: under every registry policy, with failure
-// injection on so retried attempts run too, each active job's memoized
-// remaining work and critical-path vector must equal a fresh computation
-// at every Pick, and in Run also after every event (through
-// Config.Observer, which RunStream does not take). A mid-run snapshot's
-// restored cluster is checked before and after a Place.
+// the engine's run records: under every registry policy, each active
+// job's memoized remaining work and critical-path vector must equal a
+// fresh computation at every Pick, and in Run also after every event
+// (through Config.Observer, which RunStream does not take). A mid-run
+// snapshot's restored cluster is checked before and after a Place.
 func TestRunRecordMemosMatchFreshComputation(t *testing.T) {
 	t.Parallel()
 	reg := sched.Default()
@@ -78,32 +77,26 @@ func TestRunRecordMemosMatchFreshComputation(t *testing.T) {
 					cfg := sim.Config{
 						NumExecutors: 16,
 						Trace:        carbon.SynthesizeAll(48, 60, seed)["DE"],
-						Seed:         seed,
-						FailureRate:  0.2,
 					}
 					events := 0
 					observe := func(c *sim.Cluster) {
 						events++
 						oracle.check(c, "after event", events)
 					}
-					var res *sim.Result
 					var err error
 					switch engine {
 					case "run":
 						cfg.Observer = observe
-						res, err = sim.Run(cfg, jobs, m)
+						_, err = sim.Run(cfg, jobs, m)
 					case "hold":
 						cfg.Observer = observe
 						cfg.HoldExecutors = true
-						res, err = sim.Run(cfg, jobs, m)
+						_, err = sim.Run(cfg, jobs, m)
 					case "stream":
-						res, err = sim.RunStream(cfg, &sim.SliceSource{Jobs: jobs}, m)
+						_, err = sim.RunStream(cfg, &sim.SliceSource{Jobs: jobs}, m)
 					}
 					if err != nil {
 						t.Fatal(err)
-					}
-					if res.TaskRetries == 0 {
-						t.Fatal("no task retried; the failure path went unchecked")
 					}
 					if m.snap == nil {
 						t.Fatal("no mid-run snapshot captured")

@@ -64,11 +64,10 @@ func resultDigest(t *testing.T, r *sim.Result) string {
 }
 
 // TestRunFingerprints pins sim.Run's output, bit for bit, on seeded
-// cases covering batch ordering, hold mode (with and without the legacy
-// wake-up cadence), jitter with failure injection, per-job usage, the
-// per-job result switch and the per-job cap. The digests were recorded
-// from the engine before Run moved onto RunStream's loop and must not
-// change: any difference is a change in Run's semantics.
+// cases covering batch ordering, hold mode (PCAPS on the paper's 60 s
+// idle timeout, the configuration of every deferring-scheduler table,
+// and FIFO), per-job usage, the per-job result switch and the per-job
+// cap. Any difference in a digest is a change in Run's semantics.
 func TestRunFingerprints(t *testing.T) {
 	t.Parallel()
 	pcaps := func(seed int64) sim.Scheduler { return sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed) }
@@ -82,62 +81,55 @@ func TestRunFingerprints(t *testing.T) {
 		{"shuffled/pcaps", shuffledBatch,
 			func(c *sim.Config) { c.MoveDelay = 2 }, pcaps,
 			map[int64]string{
-				1: "5466590993b958f16edae7a2615337ee177e8018e05827423c2c03f0a258018c",
-				7: "b8dac065e6e656dbbc715041e0886df89ccf3f40dd342ba803854d72ba59b31c",
+				1: "bd9e76cf2c059e69cb17583a70564a5a64b14eeec7755a417fab75e869a37594",
+				7: "a6630f2303cdfec95bd74da73068cf6c9cf0b529cd9a017debcaa5edca371f78",
 			}},
 		{"shuffled/cap-fifo", shuffledBatch,
 			func(c *sim.Config) {},
 			func(int64) sim.Scheduler { return sched.NewCAP(&sched.FIFO{}, 20) },
 			map[int64]string{
-				1: "17d01e942b732da42ec8d1bc26506bccbcfc46344554124bc8efce4f3c1fe58e",
-				7: "120a80a3fae8a0a2065e9683df6a190847cd5e4c076f10e5939c344e0819167c",
+				1: "80fecfc69444b6f72355b404bb9920c9d43b9109533cdad136251ecebd8c4188",
+				7: "bafdda27129e489f8071ad38c3c73e5495a42ed916cf1669aa81a701a8b0a443",
 			}},
-		{"hold/legacy", sortedBatch,
-			func(c *sim.Config) { c.HoldExecutors, c.IdleTimeout, c.LegacyHoldWakeups = true, 60, true }, pcaps,
+		{"hold/pcaps", sortedBatch,
+			func(c *sim.Config) { c.HoldExecutors, c.IdleTimeout = true, 60 }, pcaps,
 			map[int64]string{
-				1: "e7e8e49d2803a05ca0583481e3de35fcece853c7dc9046efef393ae8b81260c5",
-				7: "82b82e9aa6040e23a2ed2cf645571180b0add8179f7a7b68bf21bdd5c9736c5c",
+				1: "20b70da2e485549f63dee706121c2da786fa325dbd8fd040c184832dd1d93b1a",
+				7: "0dc161ea822a61bdda83ae15aa885de5837b27fad6615a42aab46e35b73c7cfa",
 			}},
 		{"hold/fixed", shuffledBatch,
 			func(c *sim.Config) { c.HoldExecutors, c.IdleTimeout = true, 30 },
 			func(int64) sim.Scheduler { return &sched.FIFO{} },
 			map[int64]string{
-				1: "eaf7f5884e4ec64aa0dbea313843542d422f9fefab5a7a4bb596576b41e6d89a",
-				7: "8158069ecbe1feb949e4980dd7b00b3bc4a89a918b55dea5e2d7cb6cd78784f4",
-			}},
-		{"jitter+failure", shuffledBatch,
-			func(c *sim.Config) { c.DurationJitter, c.FailureRate = 0.3, 0.15 },
-			func(seed int64) sim.Scheduler { return sched.NewDecima(seed) },
-			map[int64]string{
-				1: "e047ffac723bbd7c37b482228b3006326b6ef9b6204958807c1bb4580fa27e94",
-				7: "45e3597b58b45d6019ee8a8de940ff91f6e3ca3c87034b0a7f79f2c21b542fee",
+				1: "af40f1da069bb224cc3d61cc98843ea995794b9dfe5393bf6e36f8df922909f1",
+				7: "ab792ce4cc3c328ccc9fdb16581dec6ae7fc38370a49311237167297ba785e44",
 			}},
 		{"job-usage", shuffledBatch,
 			func(c *sim.Config) { c.TrackJobUsage, c.MoveDelay = true, 1 },
 			func(int64) sim.Scheduler { return &sched.WeightedFair{} },
 			map[int64]string{
-				1: "484ae558ce2d9b36be582c04c4238bf7ac9a995df193d56e9e27de235550cbda",
-				7: "f28a996fcdcf4079d713eba86dd38f24d32621dc8dc102f4eca32db33796fed6",
+				1: "f14bf60cd1ea6eda01a6fa02d7404296b062f256b33ec5e030260e9c4f193eca",
+				7: "37dd7dc9f77268a46d390b8bb56d54eb00a9f7f31c6c588f9ee03c1b2915e4b4",
 			}},
 		{"per-job-off", shuffledBatch,
 			func(c *sim.Config) { c.PerJobResults = sim.PerJobOff }, pcaps,
 			map[int64]string{
-				1: "b0f1c1555a2344f4f523336793ff4621172de6ffea1f6aed7f320bb3774db2bc",
-				7: "f32e395e5f443566608df2c7ec8315cce895c27d224e7b73ddeb711a3c16e742",
+				1: "c2d01ece2e4ecfbcc00846b1a1dfd68a12096fcce1e88a75b1924a6ae090e5a7",
+				7: "ad0b6141460e272f049d7947f35f467bd281c7bbdcce72ffd45e5c551975a9ee",
 			}},
 		{"per-job-cap", sortedBatch,
 			func(c *sim.Config) { c.PerJobCap = 3 },
 			func(seed int64) sim.Scheduler { return sched.NewDecima(seed) },
 			map[int64]string{
-				1: "cda70e59c8afd39b087b2e9a5e41113cf40470c417fc74eda3134facc5abe425",
-				7: "90696b8f9d3f468237b435ff14699fa945651765fe3998c1c6ef66f173cc811a",
+				1: "40ae71374cfd975caeef37d13ea0d61d4f3cb9c8e96aa38e10ff71636cc70f15",
+				7: "b37e2c93ccef8f54ec219157f6888d00dcf5898771782c65979007ccec42b9a1",
 			}},
 	}
 	for _, tc := range cases {
 		for _, seed := range []int64{1, 7} {
 			t.Run(fmt.Sprintf("%s/seed%d", tc.name, seed), func(t *testing.T) {
 				t.Parallel()
-				cfg := sim.Config{NumExecutors: 12, Trace: swingTrace(t), Seed: seed}
+				cfg := sim.Config{NumExecutors: 12, Trace: swingTrace(t)}
 				tc.cfg(&cfg)
 				res, err := sim.Run(cfg, tc.batch(seed), tc.sched(seed))
 				if err != nil {
@@ -151,13 +143,36 @@ func TestRunFingerprints(t *testing.T) {
 	}
 }
 
+// TestDeterministicRuns checks that a run is a pure function of its
+// inputs and the scheduler's seed: the engine draws no randomness of its
+// own, so equal Decima seeds give equal results and a different seed
+// gives a different schedule.
+func TestDeterministicRuns(t *testing.T) {
+	t.Parallel()
+	run := func(seed int64) string {
+		cfg := sim.Config{NumExecutors: 12, Trace: swingTrace(t)}
+		res, err := sim.Run(cfg, shuffledBatch(1), sched.NewDecima(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resultDigest(t, res)
+	}
+	a, b := run(42), run(42)
+	if a != b {
+		t.Fatalf("same seed diverged: %s vs %s", a, b)
+	}
+	if run(43) == a {
+		t.Fatal("scheduler seed had no effect")
+	}
+}
+
 // TestRunObserverCalls pins how often Config.Observer fires: once per
 // processed event, after that event's scheduling pass.
 func TestRunObserverCalls(t *testing.T) {
 	t.Parallel()
 	for seed, want := range map[int64]int{1: 3780, 7: 2227} {
 		calls := 0
-		cfg := sim.Config{NumExecutors: 12, Trace: swingTrace(t), Seed: seed,
+		cfg := sim.Config{NumExecutors: 12, Trace: swingTrace(t),
 			Observer: func(*sim.Cluster) { calls++ }}
 		res, err := sim.Run(cfg, shuffledBatch(seed), sched.NewPCAPS(sched.NewDecima(seed), 0.5, seed))
 		if err != nil {

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"pcaps/internal/carbon"
@@ -33,7 +32,9 @@ import (
 	"pcaps/internal/metrics"
 )
 
-// Config parameterizes one simulation run.
+// Config parameterizes one simulation run. The engine draws no
+// randomness: task durations are the stages' own, so a run is a function
+// of its Config, its jobs and its scheduler.
 type Config struct {
 	// NumExecutors is K, the number of machines.
 	NumExecutors int
@@ -65,36 +66,17 @@ type Config struct {
 	// in-application FIFO). This is the mechanism behind standalone
 	// FIFO's blocking and its worse carbon footprint relative to
 	// schedulers that actively manage executor placement (Fig. 15).
+	// A held executor that starts a stage keeps it across the stage's
+	// task waves (DESIGN.md §2.1).
 	HoldExecutors bool
 	// IdleTimeout is the retention window in seconds for HoldExecutors
 	// mode; 0 selects Spark's default of 60 s, negative values hold for
 	// the job's whole lifetime (standalone mode without dynamic
 	// allocation).
 	IdleTimeout float64
-	// LegacyHoldWakeups restores the seed engine's hold-mode task
-	// hand-off: every task completion released the executor to the job's
-	// held pool, re-dispatched it through the in-application FIFO at the
-	// same instant, and scheduled an idle-timeout expiry event — so each
-	// task produced an extra (almost always stale) expiry event whose
-	// processing was itself a scheduling event. Those spurious wake-ups
-	// are observable to deferring schedulers (CAP, PCAPS, GreenHadoop):
-	// each is an extra decision point at which a deferral can be
-	// reconsidered. The published experiment tables were produced under
-	// that cadence, so the experiment configs set this flag for
-	// byte-identical reproduction; new work should leave it false and
-	// get the fixed behaviour — a hold-dispatched stage keeps its
-	// executor across task waves (the in-place continuation), with no
-	// per-task expiry churn. See DESIGN.md.
-	LegacyHoldWakeups bool
-	// DurationJitter is the relative standard deviation of task
-	// durations (0 = deterministic).
-	DurationJitter float64
-	// FailureRate is the probability that a task attempt fails and is
-	// retried on the same executor (transient failure injection; the
-	// lost attempt still consumed executor time and carbon). Must be in
-	// [0, 0.9].
-	FailureRate float64
-	// Seed drives task-duration jitter and failure injection.
+	// Seed is not read by the engine, which draws no randomness. It
+	// stays for callers that keep a run's scheduler seed with its
+	// configuration (the benchmark harness in perfbench/ reads it back).
 	Seed int64
 	// MaxEvents bounds the event loop as a hang guard; 0 selects a
 	// generous default.
@@ -319,7 +301,6 @@ type Cluster struct {
 	clock  float64
 	execs  []*executor
 	events eventHeap
-	rng    *rand.Rand
 	// busyCount counts executors running a task; activeCount adds the
 	// executors a job merely holds (HoldExecutors mode). Carbon and
 	// quota decisions see activeCount — held executors burn power.
@@ -372,8 +353,6 @@ type Cluster struct {
 	// reported by wrapping schedulers through NoteDeferral.
 	deferrals    int
 	deferredWork float64
-	// retries counts failed task attempts (failure injection).
-	retries int
 	// jobUsage mirrors usage per job when Config.TrackJobUsage is set.
 	jobUsage [][]float64
 
@@ -542,8 +521,6 @@ type Result struct {
 	// Stream carries the streaming reducers' summary: in-flight depth,
 	// JCT quantile sketches and run-record reuse.
 	Stream *StreamStats
-	// TaskRetries counts failed task attempts that were retried.
-	TaskRetries int
 	// TotalWork is the batch's total work in executor-seconds.
 	TotalWork float64
 	// Events is the number of processed simulation events.
@@ -612,16 +589,13 @@ func idleCluster(cfg Config) (*Cluster, error) {
 	if cfg.NumExecutors < 1 {
 		return nil, fmt.Errorf("sim: need at least one executor, got %d", cfg.NumExecutors)
 	}
-	if cfg.FailureRate < 0 || cfg.FailureRate > 0.9 {
-		return nil, fmt.Errorf("sim: failure rate %v outside [0, 0.9]", cfg.FailureRate)
-	}
 	if cfg.ForecastHorizon <= 0 {
 		cfg.ForecastHorizon = 48 * cfg.Trace.Interval
 	}
 	if cfg.MaxEvents <= 0 {
 		cfg.MaxEvents = 20_000_000
 	}
-	c := &Cluster{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), epoch: 1}
+	c := &Cluster{cfg: cfg, epoch: 1}
 	c.boundsClock = math.NaN() // cache starts invalid (clock starts at 0)
 	c.execs = make([]*executor, cfg.NumExecutors)
 	c.free = make(intHeap, 0, cfg.NumExecutors)
@@ -960,9 +934,7 @@ func (c *Cluster) dispatchReserved() {
 		// Give the stage the in-application FIFO's "no limit" so the
 		// executor continues in place across its task waves instead of
 		// bouncing through release → re-reserve → expiry on every task.
-		// The legacy mode keeps the limit unset, reproducing the seed
-		// engine's per-task wake-up cadence (see Config.LegacyHoldWakeups).
-		if !c.cfg.LegacyHoldWakeups && st.Limit == 0 {
+		if st.Limit == 0 {
 			st.Limit = st.Stage.NumTasks
 		}
 		c.releaseHeld(e)
@@ -973,7 +945,7 @@ func (c *Cluster) dispatchReserved() {
 		c.busyCount++
 		st.Running++
 		c.noteDispatch(j, st)
-		c.push(event{at: c.clock + c.taskDuration(st), kind: evTaskDone, exec: e})
+		c.push(event{at: c.clock + st.Stage.TaskDuration, kind: evTaskDone, exec: e})
 	}
 	c.reservedScratch = ids[:0]
 }
@@ -992,33 +964,14 @@ func (c *Cluster) bind(e *executor, j *JobRun, st *StageRun) {
 	j.Executors++
 	st.Running++
 	c.noteDispatch(j, st)
-	c.push(event{at: c.clock + delay + c.taskDuration(st), kind: evTaskDone, exec: e})
+	c.push(event{at: c.clock + delay + st.Stage.TaskDuration, kind: evTaskDone, exec: e})
 }
 
-// taskDuration samples one task's duration with optional jitter.
-func (c *Cluster) taskDuration(st *StageRun) float64 {
-	d := st.Stage.TaskDuration
-	if c.cfg.DurationJitter > 0 {
-		d *= 1 + c.cfg.DurationJitter*c.rng.NormFloat64()
-		if d < st.Stage.TaskDuration/10 {
-			d = st.Stage.TaskDuration / 10
-		}
-	}
-	return d
-}
-
-// completeTask handles a task-done event: the attempt may fail and retry
-// (failure injection); otherwise the executor either pulls the next task
-// of its stage (when the limit allows) or goes idle; stage and job
-// completion propagate to children.
+// completeTask handles a task-done event: the executor either pulls the
+// next task of its stage (when the limit allows) or goes idle; stage and
+// job completion propagate to children.
 func (c *Cluster) completeTask(e *executor) {
 	st, j := e.stage, e.job
-	if c.cfg.FailureRate > 0 && c.rng.Float64() < c.cfg.FailureRate {
-		// The attempt is lost; the executor retries the task in place.
-		c.retries++
-		c.push(event{at: c.clock + c.taskDuration(st), kind: evTaskDone, exec: e})
-		return
-	}
 	st.Completed++
 	j.remainOK = false
 	// One stamp covers the rest of this transition too (stage finish,
@@ -1030,7 +983,7 @@ func (c *Cluster) completeTask(e *executor) {
 	// Continue on the same stage when tasks remain and the limit holds.
 	if st.RemainingTasks() > 0 && st.Running <= st.Limit {
 		c.noteDispatch(j, st)
-		c.push(event{at: c.clock + c.taskDuration(st), kind: evTaskDone, exec: e})
+		c.push(event{at: c.clock + st.Stage.TaskDuration, kind: evTaskDone, exec: e})
 		return
 	}
 	// Release the executor: back to the job's held pool in standalone

@@ -269,32 +269,6 @@ func TestDeferringSchedulerFailsJobs(t *testing.T) {
 	}
 }
 
-func TestDeterministicRuns(t *testing.T) {
-	jobs := []*dag.Job{chainJob(t, 0, 13, 7), chainJob(t, 1, 9)}
-	c := cfg(t, 2)
-	c.DurationJitter = 0.2
-	c.Seed = 42
-	a, err := Run(c, jobs, greedy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(c, jobs, greedy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ECT != b.ECT || a.CarbonGrams != b.CarbonGrams {
-		t.Fatalf("same seed diverged: %v/%v vs %v/%v", a.ECT, a.CarbonGrams, b.ECT, b.CarbonGrams)
-	}
-	c.Seed = 43
-	d, err := Run(c, jobs, greedy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.ECT == d.ECT {
-		t.Fatal("jitter seed had no effect")
-	}
-}
-
 func TestJobTemplatesNotMutated(t *testing.T) {
 	j := chainJob(t, 0, 10, 20)
 	if _, err := Run(cfg(t, 1), []*dag.Job{j}, greedy{}); err != nil {
@@ -476,54 +450,6 @@ func TestHoldExecutorsReservedServeOwnJob(t *testing.T) {
 	}
 }
 
-func TestFailureInjection(t *testing.T) {
-	b := dag.NewBuilder(0, "wide")
-	b.Stage("", 40, 5)
-	j := b.MustBuild()
-	c := cfg(t, 4)
-	c.FailureRate = 0.3
-	c.Seed = 9
-	res, err := Run(c, []*dag.Job{j}, greedy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TaskRetries == 0 {
-		t.Fatal("30% failure rate produced no retries")
-	}
-	// Every retry costs one extra task duration of busy time.
-	var usage float64
-	for _, u := range res.Usage {
-		usage += u
-	}
-	want := res.TotalWork + float64(res.TaskRetries)*5
-	if math.Abs(usage-want) > 1e-6 {
-		t.Fatalf("usage %v, want %v (work + retries)", usage, want)
-	}
-	// Failure-free run is cheaper and faster.
-	c.FailureRate = 0
-	clean, err := Run(c, []*dag.Job{j}, greedy{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if clean.ECT >= res.ECT || clean.CarbonGrams >= res.CarbonGrams {
-		t.Fatalf("failures should cost time and carbon: %v/%v vs %v/%v",
-			clean.ECT, clean.CarbonGrams, res.ECT, res.CarbonGrams)
-	}
-}
-
-func TestFailureRateValidation(t *testing.T) {
-	j := chainJob(t, 0, 10)
-	c := cfg(t, 1)
-	c.FailureRate = 0.95
-	if _, err := Run(c, []*dag.Job{j}, greedy{}); err == nil {
-		t.Fatal("failure rate > 0.9 accepted")
-	}
-	c.FailureRate = -0.1
-	if _, err := Run(c, []*dag.Job{j}, greedy{}); err == nil {
-		t.Fatal("negative failure rate accepted")
-	}
-}
-
 // TestRuntimeInvariants drives a full randomized batch through an
 // invariant-checking probe: stages handed to schedulers are always truly
 // runnable, counts stay within bounds, and the clock never regresses.
@@ -647,7 +573,6 @@ func TestQuickChaosSchedulerPreservesInvariants(t *testing.T) {
 			HoldExecutors: r.Intn(2) == 0,
 			IdleTimeout:   5 + r.Float64()*20,
 			PerJobCap:     r.Intn(4), // 0 = unlimited
-			Seed:          seed,
 		}
 		res, err := Run(c, jobs, &chaosScheduler{rng: rand.New(rand.NewSource(seed + 1))})
 		if err != nil {

@@ -22,7 +22,6 @@ func midRunSnapshot(t *testing.T, seed int64, n int) *Snapshot {
 	cfg := Config{
 		NumExecutors: 16,
 		Trace:        tr,
-		Seed:         seed,
 		Observer: func(c *Cluster) {
 			events++
 			if snap == nil && events >= n && c.BusyCount() > 0 && len(c.ActiveJobs()) > 1 {

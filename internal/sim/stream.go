@@ -186,7 +186,6 @@ func (c *Cluster) result(name string, st *runState, totalWork float64, events in
 		JobUsage:     c.jobUsage,
 		Deferrals:    c.deferrals,
 		DeferredWork: c.deferredWork,
-		TaskRetries:  c.retries,
 		TotalWork:    totalWork,
 		Events:       events,
 	}

@@ -61,7 +61,6 @@ func hyperscaleStreamPeak(tb testing.TB, jobs, execs int, s sim.Scheduler) float
 		NumExecutors: execs,
 		Trace:        tr,
 		MoveDelay:    1,
-		Seed:         42,
 		MaxEvents:    2_000_000_000,
 	}
 	proc, err := arrivals.New(arrivals.Spec{Kind: arrivals.KindConstant, RPS: rps})

@@ -66,13 +66,11 @@ func TestRunStreamMatchesRun(t *testing.T) {
 						Trace:         trace,
 						MoveDelay:     1,
 						PerJobCap:     25,
-						Seed:          seed,
 						PerJobResults: sim.PerJobOn,
 					}
 					if pol.hold {
 						cfg.HoldExecutors = true
 						cfg.IdleTimeout = 60
-						cfg.LegacyHoldWakeups = true
 					}
 					classic, err := sim.Run(cfg, jobs, pol.make(seed))
 					if err != nil {
